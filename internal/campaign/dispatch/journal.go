@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -119,9 +120,6 @@ func (j *journal) close() error {
 // parseHex64 inverts hex64; malformed input yields 0, which then fails
 // the integrity comparison rather than crashing the loader.
 func parseHex64(s string) uint64 {
-	var v uint64
-	if _, err := fmt.Sscanf(s, "%x", &v); err != nil {
-		return 0
-	}
+	v, _ := strconv.ParseUint(s, 16, 64)
 	return v
 }

@@ -1,10 +1,10 @@
-// Package dnet carries the dispatch shard protocol over network
-// connections. It owns the length-prefixed JSON frame codec the
-// subprocess dispatcher already speaks over pipes (WriteFrame /
-// ReadFrame are the same bytes), and adds the pieces pipes never
-// needed: a framed connection with an interior write lock so
-// heartbeats can interleave with responses, per-frame read deadlines
-// for dead-peer detection, TCP/TLS dial and listen helpers, and a Tap
+// Package dnet carries the dispatch shard protocol over byte streams.
+// It owns the length-prefixed JSON frame codec (WriteFrame /
+// ReadFrame) and a framed connection, Conn, that the coordinator uses
+// for every worker: over a network socket, or over a spawned child's
+// pipes (Pipe). Conn adds an interior write lock so heartbeats can
+// interleave with responses, per-frame read deadlines for dead-peer
+// detection on sockets, TCP/TLS dial and listen helpers, and a Tap
 // seam through which internal/campaign/chaos injects network faults
 // (dropped, corrupted, delayed frames; connection resets) to prove
 // the coordinator's recovery never changes campaign output.
@@ -16,6 +16,7 @@ package dnet
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/tls"
 	"encoding/binary"
@@ -44,6 +45,12 @@ func WriteFrame(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("dispatch: marshaling frame: %w", err)
 	}
+	return writeBody(w, body)
+}
+
+// writeBody writes one length-prefixed frame body, flushing a
+// *bufio.Writer.
+func writeBody(w io.Writer, body []byte) error {
 	var pre [4]byte
 	binary.BigEndian.PutUint32(pre[:], uint32(len(body)))
 	if _, err := w.Write(pre[:]); err != nil {
@@ -66,6 +73,10 @@ func ReadFrame(r io.Reader, v any) error {
 	if err != nil {
 		return err
 	}
+	return decode(body, v)
+}
+
+func decode(body []byte, v any) error {
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("dispatch: decoding frame: %w", err)
 	}
@@ -85,11 +96,18 @@ func readBody(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("dispatch: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The body grows as bytes arrive rather than being allocated from
+	// the prefix up front: a corrupted prefix on a short stream costs
+	// what the stream holds, not the MaxFrame the prefix may claim.
+	var body bytes.Buffer
+	body.Grow(int(min(n, 64<<10)))
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("dispatch: reading %d-byte frame: %w", n, err)
 	}
-	return body, nil
+	return body.Bytes(), nil
 }
 
 // Direction tells a Tap which way a frame is crossing the connection.
@@ -134,13 +152,41 @@ type Tap interface {
 	Frame(dir Direction, ordinal uint64) Action
 }
 
+// Stream is the byte stream a Conn frames: a net.Conn, or a Pipe.
+type Stream interface {
+	io.ReadWriteCloser
+	SetReadDeadline(t time.Time) error
+}
+
+// Pipe joins a read half and a write half — a child process's stdout
+// and stdin, or a worker's own stdin and stdout — into a Stream. Close
+// closes the write half when it is closable, which a well-behaved peer
+// reads as end of input. Pipes never half-fail the way sockets do, so
+// read deadlines are accepted and ignored.
+func Pipe(r io.Reader, w io.Writer) Stream { return pipe{r, w} }
+
+type pipe struct {
+	io.Reader
+	io.Writer
+}
+
+func (p pipe) Close() error {
+	if c, ok := p.Writer.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+func (pipe) SetReadDeadline(time.Time) error { return nil }
+
 // Conn is one framed transport connection: WriteFrame/ReadFrame
-// semantics over a net.Conn, an interior write lock so concurrent
-// writers (shard responses and heartbeat pings) interleave at frame
-// granularity, an optional per-frame read deadline bounding peer
-// silence, and an optional fault-injection Tap.
+// semantics over a byte stream — a net.Conn, or a child process's
+// pipes — an interior write lock so concurrent writers (shard responses
+// and heartbeat pings) interleave at frame granularity, an optional
+// per-frame read deadline bounding peer silence, and an optional
+// fault-injection Tap.
 type Conn struct {
-	raw net.Conn
+	raw Stream
 	br  *bufio.Reader
 
 	wmu     sync.Mutex
@@ -159,7 +205,7 @@ type Conn struct {
 // bounds the silence between frames: a peer that sends nothing for
 // that long (no responses, no heartbeats) is declared dead and reads
 // fail. Zero disables the deadline.
-func NewConn(raw net.Conn, tap Tap, readTimeout time.Duration) *Conn {
+func NewConn(raw Stream, tap Tap, readTimeout time.Duration) *Conn {
 	return &Conn{
 		raw:         raw,
 		br:          bufio.NewReader(raw),
@@ -178,32 +224,11 @@ func (c *Conn) WriteFrame(v any) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.tap != nil {
-		act := c.tap.Frame(Send, c.sendOrd)
-		c.sendOrd++
-		if act.Delay > 0 {
-			time.Sleep(act.Delay)
-		}
-		if act.Reset {
-			c.raw.Close()
-			return fmt.Errorf("dispatch: connection reset (injected fault)")
-		}
-		if act.Drop {
-			return nil
-		}
-		if act.Corrupt {
-			body = corruptBody(body)
-		}
-	}
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], uint32(len(body)))
-	if _, err := c.bw.Write(pre[:]); err != nil {
+	body, drop, err := c.tapFrame(Send, &c.sendOrd, body)
+	if err != nil || drop {
 		return err
 	}
-	if _, err := c.bw.Write(body); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return writeBody(c.bw, body)
 }
 
 // ReadFrame reads the next delivered frame into v. Dropped frames are
@@ -225,28 +250,36 @@ func (c *Conn) ReadFrame(v any) error {
 			}
 			return err
 		}
-		if c.tap != nil {
-			act := c.tap.Frame(Recv, c.recvOrd)
-			c.recvOrd++
-			if act.Delay > 0 {
-				time.Sleep(act.Delay)
-			}
-			if act.Reset {
-				c.raw.Close()
-				return fmt.Errorf("dispatch: connection reset (injected fault)")
-			}
-			if act.Drop {
-				continue
-			}
-			if act.Corrupt {
-				body = corruptBody(body)
-			}
+		body, drop, err := c.tapFrame(Recv, &c.recvOrd, body)
+		if err != nil {
+			return err
 		}
-		if err := json.Unmarshal(body, v); err != nil {
-			return fmt.Errorf("dispatch: decoding frame: %w", err)
+		if !drop {
+			return decode(body, v)
 		}
-		return nil
 	}
+}
+
+// tapFrame applies the tap's verdict on one frame crossing in
+// direction dir, advancing that direction's ordinal: it may delay the
+// frame, corrupt its body, drop it, or reset the connection.
+func (c *Conn) tapFrame(dir Direction, ord *uint64, body []byte) ([]byte, bool, error) {
+	if c.tap == nil {
+		return body, false, nil
+	}
+	act := c.tap.Frame(dir, *ord)
+	*ord++
+	if act.Delay > 0 {
+		time.Sleep(act.Delay)
+	}
+	if act.Reset {
+		c.raw.Close()
+		return nil, false, fmt.Errorf("dispatch: connection reset (injected fault)")
+	}
+	if act.Corrupt {
+		body = corruptBody(body)
+	}
+	return body, act.Drop, nil
 }
 
 // Close tears the connection down; safe to call more than once and
@@ -256,8 +289,14 @@ func (c *Conn) Close() error {
 	return c.closeErr
 }
 
-// RemoteAddr names the peer for diagnostics.
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
+// RemoteAddr names a network peer for diagnostics (nil for streams
+// that are not network connections).
+func (c *Conn) RemoteAddr() net.Addr {
+	if nc, ok := c.raw.(net.Conn); ok {
+		return nc.RemoteAddr()
+	}
+	return nil
+}
 
 // corruptBody returns a copy of body with a few bits flipped, length
 // preserved — the shape of corruption the integrity hash and JSON

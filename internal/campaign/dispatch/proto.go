@@ -1,30 +1,38 @@
-// Package dispatch ships whole campaign shards to worker processes.
+// Package dispatch ships whole campaign shards to worker processes
+// and networked worker agents.
 //
-// The parent re-execs the current binary in a hidden worker mode and
-// speaks a length-prefixed JSON frame protocol over the worker's
-// stdin/stdout: one request frame per shard (campaign name, plan hash,
-// shard id, run indices), one response frame back (encoded results plus
-// an integrity hash). The seam is hardened end-to-end — per-shard
-// deadlines, crash and hang detection, retry with capped exponential
-// backoff and deterministic jitter on a fresh worker, response
-// integrity verification, shard-granular checkpoint/resume — and
-// degrades gracefully to in-process execution when subprocesses cannot
-// be spawned. Everything the protocol moves is a pure function of
-// campaign identity, so a dispatched campaign reduces byte-identically
-// to a serial one; internal/campaign/chaos injects faults into this
-// very seam to prove it.
+// One coordinator serves both executors. Subprocess and Fleet are
+// configurations that each build an ordered list of connectors — spawn
+// (re-exec the current binary in a hidden worker mode, framed over the
+// child's stdin/stdout), dial-out (Fleet.Addrs) and accept-in
+// (Fleet.Listen) — and the list is the fallback order: fleet
+// connectors, then spawn, then in-process execution. Every connector
+// feeds one registry of framed connections (dnet.Conn, the same
+// ReadFrame/WriteFrame/Close over pipes and sockets) speaking one
+// length-prefixed JSON protocol: a version-checked hello (plus, on
+// network connections, the campaign spec and its ack), then one
+// request frame per shard (campaign name, plan hash, shard id, run
+// indices) and one response frame back (encoded results plus an
+// integrity hash). Every handshake is bounded by one timeout, and
+// closing the registry closes connections still in handshake.
 //
-// The same frame protocol also runs over TCP/TLS connections: ServeNet
-// and DialAndServe turn a process into a networked worker agent, and
-// the Fleet executor coordinates shards across a fleet of them with
-// heartbeats, straggler re-dispatch and capped-backoff reconnect —
-// degrading to Subprocess and then to in-process execution when the
-// fleet is empty. See the dnet sub-package for the transport.
+// The seam is hardened end to end, in one place for every connector:
+// per-shard deadlines, crash, hang and missed-heartbeat detection,
+// retry with capped exponential backoff and deterministic jitter on a
+// fresh connection, straggler re-dispatch on network workers, response
+// integrity verification and shard-granular checkpoint/resume.
+// Everything the protocol moves is a pure function of campaign
+// identity, so a dispatched campaign reduces byte-identically to a
+// serial one; internal/campaign/chaos injects faults into this very
+// seam to prove it. On the worker side one serve loop answers shards
+// over pipes (Serve) and sockets (ServeNet, DialAndServe). See the
+// dnet sub-package for the transport.
 package dispatch
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 
@@ -36,12 +44,6 @@ import (
 // Version 2 wrapped worker→parent traffic in envelope frames so workers
 // can interleave telemetry deltas with shard responses.
 const protoVersion = 2
-
-// maxFrame bounds a frame body so a corrupted length prefix cannot ask
-// the reader to allocate unbounded memory (a detected data error, in
-// the paper's terms, not a crash). The limit lives with the codec in
-// the dnet sub-package; pipes and sockets share it.
-const maxFrame = dnet.MaxFrame
 
 // hello is the first frame a worker writes after starting, proving the
 // process came up and speaks our protocol version.
@@ -154,14 +156,9 @@ func hex64(v uint64) string { return fmt.Sprintf("%016x", v) }
 // does not match the request — is treated as a corrupted result.
 func payloadHash(shard uint64, results []runPayload) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], shard)
-	h.Write(buf[:])
+	hashUint64s(h, shard)
 	for _, r := range results {
-		binary.BigEndian.PutUint64(buf[:], uint64(r.Index))
-		h.Write(buf[:])
-		binary.BigEndian.PutUint64(buf[:], uint64(len(r.Payload)))
-		h.Write(buf[:])
+		hashUint64s(h, uint64(r.Index), uint64(len(r.Payload)))
 		h.Write(r.Payload)
 	}
 	return h.Sum64()
@@ -172,16 +169,20 @@ func payloadHash(shard uint64, results []runPayload) uint64 {
 // shard in diagnostics, journal entries and wire frames.
 func shardID(planHash uint64, bucket int, indices []int) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], planHash)
-	h.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(bucket))
-	h.Write(buf[:])
+	hashUint64s(h, planHash, uint64(bucket))
 	for _, i := range indices {
-		binary.BigEndian.PutUint64(buf[:], uint64(i))
-		h.Write(buf[:])
+		hashUint64s(h, uint64(i))
 	}
 	return h.Sum64()
+}
+
+// hashUint64s feeds each value to h as 8 big-endian bytes.
+func hashUint64s(h hash.Hash64, vs ...uint64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.BigEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
 }
 
 // writeFrame marshals v and writes it as one length-prefixed frame.

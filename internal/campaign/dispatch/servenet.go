@@ -67,10 +67,7 @@ func ServeNet(ctx context.Context, addr string, factory LookupFactory, o NetServ
 		o.Ready(l.Addr())
 	}
 	o.logf("worker agent: serving shards on %s", l.Addr())
-	go func() {
-		<-ctx.Done()
-		l.Close()
-	}()
+	context.AfterFunc(ctx, func() { l.Close() })
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -84,7 +81,7 @@ func ServeNet(ctx context.Context, addr string, factory LookupFactory, o NetServ
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			serveNetConn(ctx, dnet.NewConn(raw, o.Tap, 0), factory, o.Log)
+			serveNetConn(ctx, dnet.NewConn(raw, o.Tap, 0), factory, o)
 		}()
 	}
 }
@@ -104,14 +101,13 @@ func DialAndServe(ctx context.Context, addr string, factory LookupFactory, o Net
 		if err == nil {
 			o.logf("worker agent: registered with coordinator %s", addr)
 			fails = 0
-			serveNetConn(ctx, c, factory, o.Log)
+			serveNetConn(ctx, c, factory, o)
 			if ctx.Err() == nil {
 				o.logf("worker agent: coordinator %s went away; reconnecting", addr)
 			}
 			continue
 		}
-		fails++
-		if fails == 1 {
+		if fails++; fails == 1 {
 			o.logf("worker agent: cannot reach coordinator %s (%v); retrying with backoff", addr, err)
 		}
 		d := campaign.BackoffDelay(o.ReconnectBase, o.ReconnectCap, seed, 0, fails)
@@ -126,23 +122,15 @@ func DialAndServe(ctx context.Context, addr string, factory LookupFactory, o Net
 // serveNetConn speaks the worker side of the shard protocol on one
 // transport connection: hello, netConfig handshake with spec ack, an
 // optional heartbeat ticker for the connection's lifetime, then the
-// same request → metrics-delta → response loop subprocess workers run
-// over pipes. A canceled ctx closes the connection, which from the
-// coordinator's side is indistinguishable from a killed worker — the
-// recovery path the fleet tests exercise.
-func serveNetConn(ctx context.Context, c *dnet.Conn, factory LookupFactory, log io.Writer) {
-	logf := func(format string, args ...any) {
-		if log != nil {
-			fmt.Fprintf(log, format+"\n", args...)
-		}
-	}
+// serve loop subprocess workers run over pipes. A canceled ctx closes
+// the connection, which from the coordinator's side is
+// indistinguishable from a killed worker — the recovery path the fleet
+// tests exercise.
+func serveNetConn(ctx context.Context, c *dnet.Conn, factory LookupFactory, o NetServeOptions) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer c.Close()
-	go func() {
-		<-ctx.Done()
-		c.Close()
-	}()
+	context.AfterFunc(ctx, func() { c.Close() })
 
 	if err := c.WriteFrame(hello{Proto: protoVersion, PID: os.Getpid(), Token: obs.ProcessToken()}); err != nil {
 		return
@@ -150,7 +138,7 @@ func serveNetConn(ctx context.Context, c *dnet.Conn, factory LookupFactory, log 
 	var cfg netConfig
 	if err := c.ReadFrame(&cfg); err != nil {
 		if ctx.Err() == nil {
-			logf("worker agent: handshake with %s failed: %v", c.RemoteAddr(), err)
+			o.logf("worker agent: handshake with %s failed: %v", c.RemoteAddr(), err)
 		}
 		return
 	}
@@ -158,13 +146,13 @@ func serveNetConn(ctx context.Context, c *dnet.Conn, factory LookupFactory, log 
 		// Announce the campaign trace id so a fleet's scattered agent
 		// logs can be correlated by grep; per-shard tracing rides each
 		// request frame.
-		logf("worker agent: serving campaign trace %s for %s", cfg.Trace, c.RemoteAddr())
+		o.logf("worker agent: serving campaign trace %s for %s", cfg.Trace, c.RemoteAddr())
 	}
 	lookup, err := factory(ctx, cfg.Spec)
 	ack := response{}
 	if err != nil {
 		ack.Error = fmt.Sprintf("building campaign lookup: %v", err)
-		logf("worker agent: rejecting spec from %s: %v", c.RemoteAddr(), err)
+		o.logf("worker agent: rejecting spec from %s: %v", c.RemoteAddr(), err)
 	}
 	if werr := c.WriteFrame(envelope{Resp: &ack}); werr != nil || err != nil {
 		return
@@ -192,35 +180,7 @@ func serveNetConn(ctx context.Context, c *dnet.Conn, factory LookupFactory, log 
 		}()
 	}
 
-	workers := make(map[string]Worker)
-	var deltas obs.DeltaTracker
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		var req request
-		switch err := c.ReadFrame(&req); {
-		case err == io.EOF:
-			return
-		case err != nil:
-			if ctx.Err() == nil {
-				logf("worker agent: connection to %s lost: %v", c.RemoteAddr(), err)
-			}
-			return
-		}
-		resp := serveShard(ctx, workers, lookup, req)
-		// Ship this shard's telemetry movement ahead of its response,
-		// mirroring the pipe protocol: once the coordinator has the
-		// response it may declare the campaign done.
-		if tel := obs.Active(); tel != nil {
-			if moved := deltas.Delta(tel.Reg); len(moved) > 0 {
-				if err := c.WriteFrame(envelope{Metrics: moved}); err != nil {
-					return
-				}
-			}
-		}
-		if err := c.WriteFrame(envelope{Resp: &resp}); err != nil {
-			return
-		}
+	if err := serveConn(ctx, c, lookup); err != nil && ctx.Err() == nil {
+		o.logf("worker agent: connection to %s lost: %v", c.RemoteAddr(), err)
 	}
 }

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	dnet "repro/internal/campaign/dispatch/net"
 	"repro/internal/obs"
 )
 
@@ -119,11 +119,18 @@ func (a *adapter[Run, Result, Out]) ExecuteEncoded(ctx context.Context, i int) (
 // memoized, so a process serving many shards of one campaign builds
 // its plan (and reference state such as golden runs) once.
 func Serve(ctx context.Context, lookup func(name string) (Worker, error), r io.Reader, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := writeFrame(bw, hello{Proto: protoVersion, PID: os.Getpid(), Token: obs.ProcessToken()}); err != nil {
+	c := dnet.NewConn(dnet.Pipe(r, w), nil, 0)
+	if err := c.WriteFrame(hello{Proto: protoVersion, PID: os.Getpid(), Token: obs.ProcessToken()}); err != nil {
 		return err
 	}
-	br := bufio.NewReader(r)
+	return serveConn(ctx, c, lookup)
+}
+
+// serveConn is the one worker serve loop, over pipes and sockets
+// alike: read a shard request, execute it, ship the telemetry it moved,
+// then its response — until the coordinator closes its side (nil) or
+// the connection fails.
+func serveConn(ctx context.Context, c *dnet.Conn, lookup func(name string) (Worker, error)) error {
 	workers := make(map[string]Worker)
 	var deltas obs.DeltaTracker
 	for {
@@ -131,24 +138,29 @@ func Serve(ctx context.Context, lookup func(name string) (Worker, error), r io.R
 			return err
 		}
 		var req request
-		switch err := readFrame(br, &req); {
+		switch err := c.ReadFrame(&req); {
 		case err == io.EOF:
 			return nil
 		case err != nil:
 			return err
 		}
 		resp := serveShard(ctx, workers, lookup, req)
+		// A worker stopped mid-shard answers nothing, exactly like a
+		// killed one: the coordinator re-dispatches the shard.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		// Ship this shard's telemetry movement ahead of its response:
-		// once the parent has the response it may declare the campaign
-		// done, so the counts must already be merged by then.
+		// once the coordinator has the response it may declare the
+		// campaign done, so the counts must already be merged by then.
 		if tel := obs.Active(); tel != nil {
 			if moved := deltas.Delta(tel.Reg); len(moved) > 0 {
-				if err := writeFrame(bw, envelope{Metrics: moved}); err != nil {
+				if err := c.WriteFrame(envelope{Metrics: moved}); err != nil {
 					return err
 				}
 			}
 		}
-		if err := writeFrame(bw, envelope{Resp: &resp}); err != nil {
+		if err := c.WriteFrame(envelope{Resp: &resp}); err != nil {
 			return err
 		}
 	}

@@ -139,122 +139,130 @@ func (s Sharded) shards() int {
 }
 
 func (s Sharded) Run(ctx context.Context, n int, keys []uint64, fn func(i int) error) error {
-	workers := s.Workers
-	if workers < 1 {
-		workers = 1
+	buckets := Partition(n, keys, s.shards())
+	tel := obs.Active()
+	if tel != nil {
+		tel.ShardsPlanned.Add(int64(len(buckets)))
+		tel.Progress.SetShards(len(buckets))
+		tel.Live.SetShards(len(buckets))
 	}
-	shards := s.shards()
+	parent := obs.SpanFromContext(ctx)
+	return RunSlots(ctx, buckets, s.Workers, func(ctx context.Context, b Bucket) error {
+		var shardStart time.Time
+		var sp *obs.Span
+		if tel != nil {
+			shardStart = time.Now()
+			sp = parent.Child("shard", map[string]string{
+				"shard": strconv.Itoa(b.ID),
+				"runs":  strconv.Itoa(len(b.Runs)),
+			})
+		}
+		var err error
+		for _, i := range b.Runs {
+			if err = ctx.Err(); err == nil {
+				err = call(fn, i)
+			}
+			if err != nil {
+				break
+			}
+		}
+		sp.End()
+		if err != nil || tel == nil {
+			return err
+		}
+		wall := time.Since(shardStart)
+		tel.ShardDur.Observe(wall.Seconds())
+		tel.ShardsDone.Inc()
+		tel.Progress.ShardDone()
+		tel.Live.ShardDone()
+		tel.Live.UpdateShard(obs.ShardStatus{
+			ID: strconv.Itoa(b.ID), Worker: "local",
+			State: "done", Runs: len(b.Runs),
+			WallMs: wall.Milliseconds(), ExecMs: wall.Milliseconds(),
+		})
+		return nil
+	})
+}
 
-	// Partition by key. Appending in index order keeps each shard's runs
-	// ascending, so a shard replays identically under any executor.
-	buckets := make([][]int, shards)
+// Bucket is one shard of a partitioned plan: its bucket number and the
+// plan indices that landed in it, ascending.
+type Bucket struct {
+	ID   int
+	Runs []int
+}
+
+// Partition buckets the n runs of a plan by key: run i lands in bucket
+// keys[i] % shards (its plan index when keys is nil). Appending in
+// index order keeps each bucket's runs ascending, so a shard replays
+// identically under any executor, in process or dispatched. Empty
+// buckets are dropped.
+func Partition(n int, keys []uint64, shards int) []Bucket {
+	runs := make([][]int, shards)
 	for i := 0; i < n; i++ {
 		k := uint64(i)
 		if keys != nil {
 			k = keys[i]
 		}
 		b := int(k % uint64(shards))
-		buckets[b] = append(buckets[b], i)
+		runs[b] = append(runs[b], i)
 	}
-
-	tel := obs.Active()
-	if tel != nil {
-		planned := 0
-		for _, b := range buckets {
-			if len(b) > 0 {
-				planned++
-			}
+	var buckets []Bucket
+	for b, r := range runs {
+		if len(r) > 0 {
+			buckets = append(buckets, Bucket{ID: b, Runs: r})
 		}
-		tel.ShardsPlanned.Add(int64(planned))
-		tel.Progress.SetShards(planned)
-		tel.Live.SetShards(planned)
 	}
-	parent := obs.SpanFromContext(ctx)
+	return buckets
+}
 
+// RunSlots feeds items, in order, to at most slots concurrent calls of
+// run and stops at the first error: the context the other calls see is
+// canceled, unfed items are abandoned, and that first error is
+// returned (the parent context's error when it ended first).
+func RunSlots[T any](ctx context.Context, items []T, slots int, run func(ctx context.Context, item T) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	var (
 		mu       sync.Mutex
 		firstErr error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-
-	type job struct {
-		bucket int
-		runs   []int
-	}
-	work := make(chan job)
+	work := make(chan T)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	slots = max(1, min(slots, len(items)))
+	wg.Add(slots)
+	for w := 0; w < slots; w++ {
 		go func() {
 			defer wg.Done()
-			for j := range work {
-				var shardStart time.Time
-				var sp *obs.Span
-				if tel != nil {
-					shardStart = time.Now()
-					sp = parent.Child("shard", map[string]string{
-						"shard": strconv.Itoa(j.bucket),
-						"runs":  strconv.Itoa(len(j.runs)),
-					})
+			for it := range work {
+				if ctx.Err() != nil {
+					return
 				}
-				for _, i := range j.runs {
-					if ctx.Err() != nil {
-						sp.End()
-						return
+				if err := run(ctx, it); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+						cancel()
 					}
-					if err := call(fn, i); err != nil {
-						sp.End()
-						fail(err)
-						return
-					}
-				}
-				if tel != nil {
-					sp.End()
-					wall := time.Since(shardStart)
-					tel.ShardDur.Observe(wall.Seconds())
-					tel.ShardsDone.Inc()
-					tel.Progress.ShardDone()
-					tel.Live.ShardDone()
-					tel.Live.UpdateShard(obs.ShardStatus{
-						ID: strconv.Itoa(j.bucket), Worker: "local",
-						State: "done", Runs: len(j.runs),
-						WallMs: wall.Milliseconds(), ExecMs: wall.Milliseconds(),
-					})
+					mu.Unlock()
+					return
 				}
 			}
 		}()
 	}
 feed:
-	for bi, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
+	for _, it := range items {
 		select {
-		case work <- job{bucket: bi, runs: b}:
+		case work <- it:
 		case <-ctx.Done():
-			// Stop feeding: after cancellation no worker will accept
-			// another bucket, so iterating the remainder only spins.
+			// After cancellation no slot accepts another item, so
+			// iterating the remainder only spins.
 			break feed
 		}
 	}
 	close(work)
 	wg.Wait()
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return err
+	if firstErr != nil {
+		return firstErr
 	}
 	return ctx.Err()
 }
