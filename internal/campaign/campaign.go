@@ -126,22 +126,13 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 	// Retry/redispatch deltas bracket the execution so the collector's
 	// row reports only this campaign's movement even when several
 	// campaigns share one process-wide telemetry.
-	var (
-		runsDone                  *obs.Counter
-		preRunRetries, preShRetry int64
-		preReconn, preStrag       int64
-		preShardCounts            []int64
-	)
+	var runsDone *obs.Counter
+	mark := MarkTelemetry(tel)
 	if tel != nil {
 		tel.Campaigns.Inc()
 		tel.Reg.Counter("repro_campaign_runs_total", obs.L("campaign", c.Name())).Add(int64(len(plan)))
 		runsDone = tel.Reg.Counter("repro_campaign_runs_done_total", obs.L("campaign", c.Name()))
 		tel.Progress.StartCampaign(c.Name(), len(plan))
-		preRunRetries = tel.RunRetries.Value()
-		preShRetry = tel.DispatchRetries.Value()
-		preReconn = tel.FleetReconnects.Value()
-		preStrag = tel.FleetStragglers.Value()
-		preShardCounts = tel.ShardDur.Counts()
 
 		inner := fn
 		fn = func(i int) error {
@@ -205,20 +196,7 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 		if p, ok := any(c).(Planned); ok {
 			ext.RunsPlanned = p.PlannedRuns()
 		}
-		if tel != nil {
-			ext.RunRetries = tel.RunRetries.Value() - preRunRetries
-			ext.ShardRetries = tel.DispatchRetries.Value() - preShRetry
-			ext.FleetReconnects = tel.FleetReconnects.Value() - preReconn
-			ext.StragglerRedispatches = tel.FleetStragglers.Value() - preStrag
-			counts := tel.ShardDur.Counts()
-			for i := range counts {
-				if i < len(preShardCounts) {
-					counts[i] -= preShardCounts[i]
-				}
-			}
-			ext.ShardP50Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.50)
-			ext.ShardP99Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.99)
-		}
+		mark.Fill(&ext)
 		col.ObserveExt(c.Name(), len(plan), time.Since(start), ext)
 	}
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Timing is one row of the BENCH_campaigns.json report: how many runs
@@ -47,6 +49,16 @@ type Timing struct {
 	// repetitions). Zero for injection campaigns.
 	AllocsPerOp     float64 `json:"allocs_per_op,omitempty"`
 	AllocBytesPerOp float64 `json:"alloc_bytes_per_op,omitempty"`
+	// SlotsSimulated counts the scheduler slots the campaign's
+	// permeability runs executed. SlotsFastForwarded, SlotsDecided and
+	// SlotsConverged count the slots of their golden horizons they
+	// skipped: before the restored golden checkpoint, after the outcome
+	// was decided, and after the run rejoined its golden run. Zero (and
+	// omitted) for other campaigns and without telemetry.
+	SlotsSimulated     int64 `json:"slots_simulated,omitempty"`
+	SlotsFastForwarded int64 `json:"slots_fast_forwarded,omitempty"`
+	SlotsDecided       int64 `json:"slots_stopped_decided,omitempty"`
+	SlotsConverged     int64 `json:"slots_stopped_converged,omitempty"`
 }
 
 // Extras carries the telemetry-derived additions to a timing row.
@@ -64,6 +76,62 @@ type Extras struct {
 	// Per-op allocation stats for solver benchmark rows.
 	AllocsPerOp     float64
 	AllocBytesPerOp float64
+	// Slot accounting of permeability runs.
+	SlotsSimulated, SlotsFastForwarded, SlotsDecided, SlotsConverged int64
+}
+
+// TelemetryMark brackets a stretch of work so its timing row reports
+// only that stretch's telemetry movement, even when several campaigns
+// share one process-wide telemetry.
+type TelemetryMark struct {
+	tel                                      *obs.Telemetry
+	runRetries, shardRetries                 int64
+	reconnects, stragglers                   int64
+	simulated, forwarded, decided, converged int64
+	shard                                    []int64
+}
+
+// MarkTelemetry records tel's counters now. A nil tel gives a mark
+// that adds nothing.
+func MarkTelemetry(tel *obs.Telemetry) TelemetryMark {
+	m := TelemetryMark{tel: tel}
+	if tel != nil {
+		m.runRetries = tel.RunRetries.Value()
+		m.shardRetries = tel.DispatchRetries.Value()
+		m.reconnects = tel.FleetReconnects.Value()
+		m.stragglers = tel.FleetStragglers.Value()
+		m.simulated = tel.SlotsSimulated.Value()
+		m.forwarded = tel.SlotsFastForwarded.Value()
+		m.decided = tel.SlotsDecided.Value()
+		m.converged = tel.SlotsConverged.Value()
+		m.shard = tel.ShardDur.Counts()
+	}
+	return m
+}
+
+// Fill sets ext's telemetry-derived fields to the movement since the
+// mark.
+func (m TelemetryMark) Fill(ext *Extras) {
+	tel := m.tel
+	if tel == nil {
+		return
+	}
+	ext.RunRetries = tel.RunRetries.Value() - m.runRetries
+	ext.ShardRetries = tel.DispatchRetries.Value() - m.shardRetries
+	ext.FleetReconnects = tel.FleetReconnects.Value() - m.reconnects
+	ext.StragglerRedispatches = tel.FleetStragglers.Value() - m.stragglers
+	ext.SlotsSimulated = tel.SlotsSimulated.Value() - m.simulated
+	ext.SlotsFastForwarded = tel.SlotsFastForwarded.Value() - m.forwarded
+	ext.SlotsDecided = tel.SlotsDecided.Value() - m.decided
+	ext.SlotsConverged = tel.SlotsConverged.Value() - m.converged
+	counts := tel.ShardDur.Counts()
+	for i := range counts {
+		if i < len(m.shard) {
+			counts[i] -= m.shard[i]
+		}
+	}
+	ext.ShardP50Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.50)
+	ext.ShardP99Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.99)
 }
 
 // NewTiming builds one timing row from a campaign's run count and
@@ -111,6 +179,10 @@ func (c *Collector) ObserveExt(campaign string, runs int, wall time.Duration, ex
 	row.ShardP99Ms = ext.ShardP99Ms
 	row.AllocsPerOp = ext.AllocsPerOp
 	row.AllocBytesPerOp = ext.AllocBytesPerOp
+	row.SlotsSimulated = ext.SlotsSimulated
+	row.SlotsFastForwarded = ext.SlotsFastForwarded
+	row.SlotsDecided = ext.SlotsDecided
+	row.SlotsConverged = ext.SlotsConverged
 	if ext.RunsPlanned > 0 {
 		row.RunsPlanned = ext.RunsPlanned
 		row.RunsSaved = ext.RunsPlanned - runs

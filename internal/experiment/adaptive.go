@@ -186,23 +186,12 @@ func (c *roundCampaign[Run, Result]) Describe(run Run, index int) string {
 // benchBracket aggregates a whole round loop into one BENCH timing row,
 // mirroring the engine's per-campaign telemetry deltas.
 type benchBracket struct {
-	start              time.Time
-	tel                *obs.Telemetry
-	preRun, preDis     int64
-	preReconn, preStrg int64
-	preShard           []int64
+	start time.Time
+	mark  campaign.TelemetryMark
 }
 
 func startBenchBracket() *benchBracket {
-	b := &benchBracket{start: time.Now(), tel: obs.Active()}
-	if b.tel != nil {
-		b.preRun = b.tel.RunRetries.Value()
-		b.preDis = b.tel.DispatchRetries.Value()
-		b.preReconn = b.tel.FleetReconnects.Value()
-		b.preStrg = b.tel.FleetStragglers.Value()
-		b.preShard = b.tel.ShardDur.Counts()
-	}
-	return b
+	return &benchBracket{start: time.Now(), mark: campaign.MarkTelemetry(obs.Active())}
 }
 
 func (b *benchBracket) observe(col *campaign.Collector, name string, executed, planned int) {
@@ -210,20 +199,7 @@ func (b *benchBracket) observe(col *campaign.Collector, name string, executed, p
 		return
 	}
 	ext := campaign.Extras{RunsPlanned: planned}
-	if b.tel != nil {
-		ext.RunRetries = b.tel.RunRetries.Value() - b.preRun
-		ext.ShardRetries = b.tel.DispatchRetries.Value() - b.preDis
-		ext.FleetReconnects = b.tel.FleetReconnects.Value() - b.preReconn
-		ext.StragglerRedispatches = b.tel.FleetStragglers.Value() - b.preStrg
-		counts := b.tel.ShardDur.Counts()
-		for i := range counts {
-			if i < len(b.preShard) {
-				counts[i] -= b.preShard[i]
-			}
-		}
-		ext.ShardP50Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.50)
-		ext.ShardP99Ms = 1000 * obs.QuantileFromCounts(obs.DurationBuckets, counts, 0.99)
-	}
+	b.mark.Fill(&ext)
 	col.ObserveExt(name, executed, time.Since(b.start), ext)
 }
 

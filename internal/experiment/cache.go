@@ -6,10 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sut"
-	"repro/internal/trace"
 )
 
 // goldenKey identifies one golden run. It covers everything runGolden's
@@ -125,30 +123,4 @@ func ClearGoldenCache() {
 	globalGoldens.mu.Lock()
 	globalGoldens.runs = make(map[goldenKey]*golden)
 	globalGoldens.mu.Unlock()
-}
-
-// recorderPool recycles trace recorders across injection runs. A
-// recorder's columns hold one Word per sample per signal — tens of
-// thousands of rows per run — and Recorder.ResetFor retargets a pooled
-// recorder while keeping that storage when the watch set matches.
-var recorderPool sync.Pool
-
-// acquireRecorder returns a recorder over the given bus and signals,
-// reusing pooled column storage when possible.
-func acquireRecorder(bus *model.Bus, signals []model.SignalID, periodMs, horizonMs int64) *trace.Recorder {
-	if v := recorderPool.Get(); v != nil {
-		rec := v.(*trace.Recorder)
-		rec.ResetFor(bus, signals, periodMs, horizonMs)
-		return rec
-	}
-	return trace.NewRecorder(bus, signals, periodMs, horizonMs)
-}
-
-// releaseRecorder returns a recorder to the pool. The recorder's trace
-// must no longer be referenced — release only after all golden-trace
-// comparisons for the run are done.
-func releaseRecorder(rec *trace.Recorder) {
-	if rec != nil {
-		recorderPool.Put(rec)
-	}
 }

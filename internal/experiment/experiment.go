@@ -236,6 +236,26 @@ type golden struct {
 	trace     *trace.Trace
 	arrestMs  int64
 	horizonMs int64
+	// cps[i] is the rig state at the start of slot
+	// (i+1)*goldenCheckpointMs.
+	cps []*sut.Checkpoint
+}
+
+// goldenCheckpointMs is the golden-run checkpoint cadence in scheduler
+// time. Permeability runs fast-forward to the latest checkpoint before
+// their flip and test convergence at checkpoint instants: a shorter
+// cadence skips more slots but holds more memory per golden (one
+// checkpoint is about 6 KB, mostly the plant's noise generator).
+const goldenCheckpointMs = 250
+
+// checkpointAt returns the latest checkpoint at or before ms, or nil
+// when ms precedes the first one.
+func (g *golden) checkpointAt(ms int64) *sut.Checkpoint {
+	i := min(int(ms/goldenCheckpointMs), len(g.cps)) - 1
+	if i < 0 {
+		return nil
+	}
+	return g.cps[i]
 }
 
 // describeRun renders one run's identity for engine diagnostics: the
@@ -250,9 +270,9 @@ func describeRun(t sut.Target, opts Options, name string, index, caseIdx int) st
 }
 
 // runGolden executes the fault-free reference run of a test case,
-// recording every signal at the 1 ms slot period. The recorded trace is
-// retained (goldens are cached and compared against for the rest of the
-// process), so the recorder is deliberately not pooled.
+// recording every signal at the 1 ms slot period and checkpointing the
+// rig every goldenCheckpointMs. Trace and checkpoints are retained:
+// goldens are cached and compared against for the rest of the process.
 func runGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
 	rig, err := t.Acquire(tc, t.CaseSeed(opts.Seed, tc), sut.Variant{})
 	if err != nil {
@@ -261,6 +281,15 @@ func runGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
 	defer t.Release(rig)
 	rec := trace.NewRecorder(rig.Bus(), t.AllSignals(), 1, opts.MaxRunMs)
 	rig.Sched().OnPostSlot(rec.Hook)
+	// Taken after the rig's own post-slot hooks, each checkpoint stands
+	// for the start of the next slot (slots are 1 ms on every target,
+	// as the 1 ms trace assumes).
+	var cps []*sut.Checkpoint
+	rig.Sched().OnPostSlot(func(nowMs int64) {
+		if (nowMs+1)%goldenCheckpointMs == 0 {
+			cps = append(cps, rig.Save())
+		}
+	})
 	done, err := rig.RunUntilDone(opts.MaxRunMs)
 	if err != nil {
 		return nil, err
@@ -278,6 +307,7 @@ func runGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
 		trace:     rec.Trace(),
 		arrestMs:  arrest,
 		horizonMs: rig.Sched().NowMs(),
+		cps:       cps,
 	}, nil
 }
 

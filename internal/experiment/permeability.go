@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fi"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/sut"
 	"repro/internal/trace"
@@ -309,14 +310,17 @@ func (r *PermeabilityResult) WriteSamples(path string) error {
 }
 
 // permeabilityRun executes one injection run and evaluates direct output
-// deviations against the golden trace.
+// deviations against the golden run. It simulates only the slots that
+// can change the outcome: the run starts from the latest golden
+// checkpoint at or before the flip time (everything earlier is the
+// golden run), compares the watched signals with the golden trace slot
+// by slot, and stops as soon as the outcome is fixed (permWatch).
 func permeabilityRun(opts Options, t sut.Target, g *golden, mod *model.ModuleDecl, port model.PortRef, sig model.SignalID, index int) (permOutcome, error) {
-	var out permOutcome
 	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "perm", index)))
 
 	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
 	if err != nil {
-		return out, err
+		return permOutcome{}, err
 	}
 	defer t.Release(rig)
 
@@ -329,66 +333,152 @@ func permeabilityRun(opts Options, t sut.Target, g *golden, mod *model.ModuleDec
 	rig.Sched().OnPreSlot(inj.Hook)
 	rig.Bus().OnRead(inj.ReadHook())
 
-	// Record the module's outputs plus its other pure inputs (inputs
-	// that are not also outputs): the cutoff signals of the
-	// direct-errors-only rule.
-	outputs := make(map[model.SignalID]bool, len(mod.Outputs))
-	for _, op := range mod.Outputs {
-		outputs[op.Signal] = true
+	var start int64
+	if cp := g.checkpointAt(flip.FromMs); cp != nil {
+		rig.Restore(cp)
+		start = cp.AtMs()
 	}
-	var watch []model.SignalID
-	var cutoffSigs []model.SignalID
+	w := newPermWatch(rig, g, mod, sig, flip)
+	rig.Sched().OnPostSlot(w.hook)
+	if _, err := rig.Sched().RunUntil(w.decided, g.horizonMs-start); err != nil {
+		return permOutcome{}, err
+	}
+	if tel := obs.Active(); tel != nil {
+		end := rig.Sched().NowMs()
+		tel.SlotsFastForwarded.Add(start)
+		tel.SlotsSimulated.Add(end - start)
+		switch w.stop {
+		case stopDecided:
+			tel.SlotsDecided.Add(g.horizonMs - end)
+		case stopConverged:
+			tel.SlotsConverged.Add(g.horizonMs - end)
+		}
+	}
+	return w.outcome(), nil
+}
+
+// stopReason records why a permeability run ended before its horizon.
+type stopReason int
+
+const (
+	stopNone      stopReason = iota
+	stopDecided              // the outcome can no longer change
+	stopConverged            // the run rejoined its golden run
+)
+
+// permWatch evaluates a permeability run online, as a post-slot hook
+// installed after the rig's own hooks. Every slot it compares the
+// watched signals with the golden trace in the domain the trace was
+// recorded in (Bus.PeekIdx) and records each signal's first deviation,
+// exactly what trace.FirstDifference would find on a recorded trace.
+// It ends the run once the outcome is fixed:
+//   - inactive: the flip was not applied before the golden completion
+//     point, so it can only apply later or never;
+//   - decided: a cutoff input has deviated (outputs that have not
+//     deviated yet can no longer count as direct), or every output has
+//     deviated (each is direct, since no cutoff came first);
+//   - converged: at a golden checkpoint instant after the flip was
+//     applied, the rig's full state equals the checkpoint. The flip is
+//     spent and every other hook only observes, so the rest of the run
+//     is the golden run and no signal deviates again.
+type permWatch struct {
+	rig   sut.Rig
+	g     *golden
+	mod   *model.ModuleDecl
+	flip  *fi.ReadFlip
+	idx   []int          // dense bus index per watched signal
+	gold  [][]model.Word // golden samples per watched signal
+	first []int          // first deviating sample per watched signal
+	outs  int            // watched[:outs] are mod's outputs in port order, the rest cutoff inputs
+
+	deviated int  // outputs deviated so far
+	cut      bool // a cutoff input has deviated
+	stop     stopReason
+}
+
+// newPermWatch watches the module's outputs plus its other pure inputs
+// (inputs that are neither the injected signal nor also outputs): the
+// cutoff signals of the direct-errors-only rule.
+func newPermWatch(rig sut.Rig, g *golden, mod *model.ModuleDecl, sig model.SignalID, flip *fi.ReadFlip) *permWatch {
+	w := &permWatch{rig: rig, g: g, mod: mod, flip: flip, outs: len(mod.Outputs)}
+	sys := rig.System()
+	watch := func(s model.SignalID) {
+		i, _ := sys.SignalIndex(s)
+		w.idx = append(w.idx, i)
+		w.gold = append(w.gold, g.trace.Samples(s))
+		w.first = append(w.first, trace.NoDifference)
+	}
 	for _, op := range mod.Outputs {
-		watch = append(watch, op.Signal)
+		watch(op.Signal)
 	}
 	for _, in := range mod.Inputs {
-		if in.Signal == sig || outputs[in.Signal] {
-			continue
+		if in.Signal != sig && !writes(mod, in.Signal) {
+			watch(in.Signal)
 		}
-		watch = append(watch, in.Signal)
-		cutoffSigs = append(cutoffSigs, in.Signal)
 	}
-	watch = dedupSignals(watch)
+	return w
+}
 
-	rec := acquireRecorder(rig.Bus(), watch, 1, g.horizonMs)
-	defer releaseRecorder(rec)
-	rig.Sched().OnPostSlot(rec.Hook)
-
-	if err := rig.RunFor(g.horizonMs); err != nil {
-		return out, err
+// writes reports whether s is one of the module's outputs.
+func writes(mod *model.ModuleDecl, s model.SignalID) bool {
+	for _, op := range mod.Outputs {
+		if op.Signal == s {
+			return true
+		}
 	}
+	return false
+}
 
-	applied, at := flip.Applied()
-	out.Active = applied && at < g.arrestMs
-	out.Direct = make(map[int]bool, len(mod.Outputs))
-	if !out.Active {
-		return out, nil
-	}
-
-	ir := rec.Trace()
-	cutoff := -1 // sample index of the earliest other-input deviation
-	for _, s := range cutoffSigs {
-		if fd := trace.FirstDifference(g.trace, ir, s); fd != trace.NoDifference {
-			if cutoff < 0 || fd < cutoff {
-				cutoff = fd
+func (w *permWatch) hook(nowMs int64) {
+	k := int(nowMs)
+	bus := w.rig.Bus()
+	for i, idx := range w.idx {
+		if w.first[i] == trace.NoDifference && bus.PeekIdx(idx) != w.gold[i][k] {
+			w.first[i] = k
+			if i < w.outs {
+				w.deviated++
+			} else {
+				w.cut = true
 			}
 		}
 	}
-	for _, op := range mod.Outputs {
-		fd := trace.FirstDifference(g.trace, ir, op.Signal)
-		out.Direct[op.Index] = fd != trace.NoDifference && (cutoff < 0 || fd <= cutoff)
+	next := nowMs + 1
+	applied, at := w.flip.Applied()
+	switch {
+	case !applied && next < w.g.arrestMs:
+		// The flip may still apply in time; nothing can have deviated.
+	case !applied || at >= w.g.arrestMs || w.cut || w.deviated == w.outs:
+		w.stop = stopDecided
+	case next%goldenCheckpointMs == 0:
+		if cp := w.g.checkpointAt(next); cp != nil && cp.AtMs() == next && w.rig.Matches(cp) {
+			w.stop = stopConverged
+		}
 	}
-	return out, nil
 }
 
-func dedupSignals(in []model.SignalID) []model.SignalID {
-	seen := make(map[model.SignalID]bool, len(in))
-	out := in[:0]
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+func (w *permWatch) decided() bool { return w.stop != stopNone }
+
+// outcome applies the direct-errors-only rule to the recorded first
+// deviations: an output deviated directly if it deviated no later than
+// the earliest cutoff-input deviation.
+func (w *permWatch) outcome() permOutcome {
+	applied, at := w.flip.Applied()
+	out := permOutcome{
+		Active: applied && at < w.g.arrestMs,
+		Direct: make(map[int]bool, len(w.mod.Outputs)),
+	}
+	if !out.Active {
+		return out
+	}
+	cutoff := -1
+	for _, fd := range w.first[w.outs:] {
+		if fd != trace.NoDifference && (cutoff < 0 || fd < cutoff) {
+			cutoff = fd
 		}
+	}
+	for i, op := range w.mod.Outputs {
+		fd := w.first[i]
+		out.Direct[op.Index] = fd != trace.NoDifference && (cutoff < 0 || fd <= cutoff)
 	}
 	return out
 }

@@ -128,6 +128,42 @@ func (m *Map) Reset() {
 	}
 }
 
+// SnapshotInto copies every cell's raw value into dst, in cell-ID
+// order, and returns the filled slice (dst's storage is reused when
+// large enough).
+func (m *Map) SnapshotInto(dst []model.Word) []model.Word {
+	if cap(dst) < len(m.cells) {
+		dst = make([]model.Word, len(m.cells))
+	}
+	dst = dst[:len(m.cells)]
+	for i := range m.cells {
+		dst[i] = m.cells[i].raw
+	}
+	return dst
+}
+
+// RestoreRaw overwrites every cell with the raw values of a SnapshotInto
+// result taken from a map allocated in the same order, without hooks.
+func (m *Map) RestoreRaw(src []model.Word) {
+	for i := range m.cells {
+		m.cells[i].raw = src[i]
+	}
+}
+
+// MatchesRaw reports whether every cell holds the raw value recorded in
+// a SnapshotInto result.
+func (m *Map) MatchesRaw(src []model.Word) bool {
+	if len(src) != len(m.cells) {
+		return false
+	}
+	for i := range m.cells {
+		if m.cells[i].raw != src[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // OnRead installs a read hook; hooks chain in installation order.
 func (m *Map) OnRead(h ReadHook) { m.reads = append(m.reads, h) }
 

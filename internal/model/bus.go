@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ReadHook intercepts a module's read of a signal. The fault injector
 // uses read hooks to realize transient errors: the stored value stays
@@ -184,3 +187,12 @@ func (b *Bus) SnapshotInto(dst []Word) []Word {
 	copy(dst, b.values)
 	return dst
 }
+
+// RestoreRaw overwrites every signal with the raw values of a
+// SnapshotInto result taken from a bus of the same system, without
+// hooks.
+func (b *Bus) RestoreRaw(src []Word) { copy(b.values, src) }
+
+// MatchesRaw reports whether every signal holds the raw value recorded
+// in a SnapshotInto result.
+func (b *Bus) MatchesRaw(src []Word) bool { return slices.Equal(b.values, src) }

@@ -91,6 +91,14 @@ type Telemetry struct {
 	RigReuses   *Counter // acquisitions served by resetting a pooled rig
 	RigBuilds   *Counter // acquisitions that built a fresh rig
 	RigReleases *Counter // rigs returned to the pool
+
+	// Permeability runs (internal/experiment): where each run's golden
+	// horizon of scheduler slots went. Simulated plus the three skip
+	// counts is the horizon.
+	SlotsSimulated     *Counter // slots executed
+	SlotsFastForwarded *Counter // slots before the restored golden checkpoint
+	SlotsDecided       *Counter // slots left once the outcome was decided
+	SlotsConverged     *Counter // slots left once the run rejoined its golden run
 }
 
 // Config selects the optional exposure surfaces of a Telemetry.
@@ -147,6 +155,11 @@ func New(cfg Config) *Telemetry {
 		RigReuses:   r.Counter("repro_rig_reuses_total"),
 		RigBuilds:   r.Counter("repro_rig_builds_total"),
 		RigReleases: r.Counter("repro_rig_releases_total"),
+
+		SlotsSimulated:     r.Counter("repro_perm_slots_simulated_total"),
+		SlotsFastForwarded: r.Counter("repro_perm_slots_fast_forwarded_total"),
+		SlotsDecided:       r.Counter("repro_perm_slots_stopped_decided_total"),
+		SlotsConverged:     r.Counter("repro_perm_slots_stopped_converged_total"),
 	}
 	if cfg.EventSink != nil {
 		t.Events = NewEventLog(cfg.EventSink)

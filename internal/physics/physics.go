@@ -24,7 +24,6 @@ package physics
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/model"
 )
@@ -116,9 +115,14 @@ func (p Params) Validate() error {
 
 // Plant is the simulated arrestment rig plus aircraft. Create with New.
 type Plant struct {
-	p   Params
-	rng *rand.Rand
+	p     Params
+	noise Noise
+	state
+}
 
+// state is the plant's dynamic state apart from the noise generator.
+// Every field is a plain value, so two states compare with ==.
+type state struct {
 	timeS    float64
 	x        float64 // distance traveled, m
 	v        float64 // velocity, m/s
@@ -141,12 +145,7 @@ func New(p Params) *Plant {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	pl := &Plant{
-		p:   p,
-		rng: rand.New(rand.NewSource(p.Seed)),
-		v:   p.EngageVelocityMps,
-	}
-	return pl
+	return &Plant{p: p, noise: NewNoise(p.Seed), state: state{v: p.EngageVelocityMps}}
 }
 
 // Params returns the plant configuration.
@@ -161,10 +160,37 @@ func (pl *Plant) Reset(p Params) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	rng := pl.rng
-	*pl = Plant{p: p, rng: rng, v: p.EngageVelocityMps}
-	pl.rng.Seed(p.Seed)
+	*pl = Plant{p: p, noise: pl.noise, state: state{v: p.EngageVelocityMps}}
+	pl.noise.Seed(p.Seed)
 }
+
+// Snapshot is a saved copy of a plant's dynamic state, noise generator
+// included. It is immutable once taken and safe to restore from
+// concurrently.
+type Snapshot struct {
+	state state
+	noise Noise
+}
+
+// Save returns a snapshot of the plant's dynamic state.
+func (pl *Plant) Save() *Snapshot {
+	return &Snapshot{state: pl.state, noise: pl.noise.Clone()}
+}
+
+// Restore puts the plant into a snapshot's state, noise generator
+// position included, in O(state) and without allocating. The
+// snapshot must come from a plant with the same Params.
+func (pl *Plant) Restore(s *Snapshot) {
+	pl.state = s.state
+	pl.noise.CopyFrom(s.noise)
+}
+
+// Matches reports whether the plant's dynamic state equals the
+// snapshot's. The noise generator is not compared: StepMs makes the
+// same generator calls whatever the plant state, so two plants that
+// started from one generator state and have taken the same number of
+// steps are at the same position in the sequence.
+func (pl *Plant) Matches(s *Snapshot) bool { return pl.state == s.state }
 
 // SetValveDuty applies the actuator command from the TOC2 register
 // (0..255, clamped).
@@ -185,7 +211,7 @@ func (pl *Plant) StepMs(dtMs int64) {
 	for i := int64(0); i < dtMs; i++ {
 		pl.stepOnce(subDt)
 	}
-	pl.adcNoise = pl.rng.Intn(2*pl.p.ADCNoiseLSB+1) - pl.p.ADCNoiseLSB
+	pl.adcNoise = pl.noise.Intn(2*pl.p.ADCNoiseLSB+1) - pl.p.ADCNoiseLSB
 }
 
 func (pl *Plant) stepOnce(dt float64) {

@@ -116,6 +116,8 @@ type Scheduler struct {
 	filters []StepFilter
 	defers  []*entry                  // scratch for StepDefer verdicts, reused across slots
 	invoked map[model.ModuleID]*int64 // invocation counts, for accounting
+	counts  []*int64                  // the same counters in registration order
+	ending  bool                      // post-slot hooks of the current slot are running
 
 	// Compiled dispatch state, built lazily on the first RunSlot after
 	// registration (registering a module invalidates it).
@@ -152,6 +154,9 @@ func (s *Scheduler) Register(r model.Runnable) error {
 		return fmt.Errorf("sched: duplicate behaviour for module %q", id)
 	}
 	s.mods[id] = r
+	n := new(int64)
+	s.invoked[id] = n
+	s.counts = append(s.counts, n)
 	s.compiled = false
 	return nil
 }
@@ -209,12 +214,7 @@ func (s *Scheduler) compile() error {
 			return entry{}, fmt.Errorf("sched: module %q scheduled but not registered", id)
 		}
 		decl, _ := s.bus.System().Module(id)
-		n := s.invoked[id]
-		if n == nil {
-			n = new(int64)
-			s.invoked[id] = n
-		}
-		return entry{run: r, decl: decl, invoked: n}, nil
+		return entry{run: r, decl: decl, invoked: s.invoked[id]}, nil
 	}
 	s.every = s.every[:0]
 	for _, id := range s.table.Every {
@@ -292,12 +292,68 @@ func (s *Scheduler) RunSlot() error {
 			s.step(e)
 		}
 	}
+	s.ending = true
 	for _, h := range s.post {
 		h(s.nowMs)
 	}
-	s.nowMs += s.table.SlotMs
-	s.slot = (s.slot + 1) % len(s.table.Slots)
+	s.nowMs, s.slot = s.clock()
+	s.ending = false
 	return nil
+}
+
+// clock returns the time and slot counter the scheduler is at: while
+// post-slot hooks run, those the next slot starts from.
+func (s *Scheduler) clock() (nowMs int64, slot int) {
+	if !s.ending {
+		return s.nowMs, s.slot
+	}
+	return s.nowMs + s.table.SlotMs, (s.slot + 1) % len(s.table.Slots)
+}
+
+// State is a scheduler's dynamic state: the clock, the internal slot
+// counter and the per-module invocation counts in registration order.
+// Module state lives in the memory map and signals on the bus; a rig
+// checkpoint saves those alongside.
+type State struct {
+	NowMs   int64
+	Slot    int
+	Invoked []int64
+}
+
+// Save copies the scheduler's state into st, reusing its storage.
+// Called from a post-slot hook it records the state the next slot
+// starts from, so a checkpoint taken there restores to the start of
+// the following slot.
+func (s *Scheduler) Save(st *State) {
+	st.NowMs, st.Slot = s.clock()
+	st.Invoked = st.Invoked[:0]
+	for _, n := range s.counts {
+		st.Invoked = append(st.Invoked, *n)
+	}
+}
+
+// Restore puts the scheduler back into a saved state. Call it between
+// slots, on a scheduler built with the same table and registrations.
+func (s *Scheduler) Restore(st *State) {
+	s.nowMs, s.slot = st.NowMs, st.Slot
+	for i, n := range s.counts {
+		*n = st.Invoked[i]
+	}
+}
+
+// Matches reports whether the scheduler is in the saved state, with
+// the same reading of the clock as Save.
+func (s *Scheduler) Matches(st *State) bool {
+	now, slot := s.clock()
+	if now != st.NowMs || slot != st.Slot || len(st.Invoked) != len(s.counts) {
+		return false
+	}
+	for i, n := range s.counts {
+		if *n != st.Invoked[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Scheduler) step(e *entry) {

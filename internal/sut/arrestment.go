@@ -8,6 +8,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/physics"
 	"repro/internal/sched"
 	"repro/internal/target"
 )
@@ -111,4 +112,15 @@ func (a arrestRig) RunUntilDone(maxMs int64) (bool, error) {
 
 func (a arrestRig) Failed(done bool) bool {
 	return failure.Classify(a.r.Plant, done, failure.DefaultLimits()).Failed()
+}
+
+func (a arrestRig) Save() *Checkpoint { return saveRig(a, a.r.Plant.Save()) }
+
+func (a arrestRig) Restore(cp *Checkpoint) {
+	restoreRig(a, cp)
+	a.r.Plant.Restore(cp.env.(*physics.Snapshot))
+}
+
+func (a arrestRig) Matches(cp *Checkpoint) bool {
+	return matchesRig(a, cp) && a.r.Plant.Matches(cp.env.(*physics.Snapshot))
 }

@@ -3,6 +3,7 @@ package sut
 import (
 	_ "embed"
 	"fmt"
+	"slices"
 
 	"repro/internal/ea"
 	"repro/internal/erm"
@@ -107,7 +108,7 @@ func (g *genericTarget) Acquire(tc Case, seed int64, v Variant) (Rig, error) {
 
 	stim := newStimulus(g.sys, g.inputs, tc, seed)
 	s.OnPreSlot(func(nowMs int64) { stim.advance(bus) })
-	return &genericRig{sys: g.sys, bus: bus, mem: mem, sched: s}, nil
+	return &genericRig{sys: g.sys, bus: bus, mem: mem, sched: s, stim: stim}, nil
 }
 
 func (g *genericTarget) Release(r Rig) {}
@@ -202,6 +203,7 @@ type genericRig struct {
 	bus   *model.Bus
 	mem   *memmap.Map
 	sched *sched.Scheduler
+	stim  *stimulus
 }
 
 func (r *genericRig) System() *model.System   { return r.sys }
@@ -223,6 +225,17 @@ func (r *genericRig) RunUntilDone(maxMs int64) (bool, error) {
 // detection only. Failure-class columns degenerate to "no failure",
 // which the reports state explicitly.
 func (r *genericRig) Failed(done bool) bool { return false }
+
+func (r *genericRig) Save() *Checkpoint { return saveRig(r, r.stim.save()) }
+
+func (r *genericRig) Restore(cp *Checkpoint) {
+	restoreRig(r, cp)
+	r.stim.restore(cp.env.(*stimulus))
+}
+
+func (r *genericRig) Matches(cp *Checkpoint) bool {
+	return matchesRig(r, cp) && r.stim.matches(cp.env.(*stimulus))
+}
 
 // genericModule is the interpreter kernel: scale every input to a
 // common 10-bit domain, average, low-pass the average into a persistent
@@ -328,6 +341,23 @@ func newStimulus(sys *model.System, inputs []model.SignalID, tc Case, seed int64
 		st.caps = append(st.caps, cap)
 	}
 	return st
+}
+
+// save returns a copy of the walk's state (the signal list and caps
+// are shared: they never change).
+func (st *stimulus) save() *stimulus {
+	c := *st
+	c.vals = slices.Clone(st.vals)
+	return &c
+}
+
+func (st *stimulus) restore(from *stimulus) {
+	st.x = from.x
+	copy(st.vals, from.vals)
+}
+
+func (st *stimulus) matches(from *stimulus) bool {
+	return st.x == from.x && slices.Equal(st.vals, from.vals)
 }
 
 func (st *stimulus) delta() model.Word {

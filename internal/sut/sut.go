@@ -87,6 +87,53 @@ type Rig interface {
 	// Failed classifies the finished run against the target's
 	// specification; done is RunUntilDone's verdict.
 	Failed(done bool) bool
+	// Save returns a checkpoint of the rig's full dynamic state. Taken
+	// from a post-slot hook, it stands for the start of the next slot.
+	Save() *Checkpoint
+	// Restore puts the rig into a checkpointed state, in O(state).
+	// The checkpoint must come from a rig of the same target, case
+	// and variant; call it between slots.
+	Restore(cp *Checkpoint)
+	// Matches reports whether the rig's full dynamic state equals the
+	// checkpoint's, reading the clock as Save does. Hooks installed
+	// on the rig are not state: a run whose rig matches a checkpoint
+	// of a reference run, and whose hooks no longer alter anything,
+	// replays the reference run from there.
+	Matches(cp *Checkpoint) bool
+}
+
+// Checkpoint is a saved copy of a rig's full dynamic state: the raw
+// bus values, the raw memory cells, the scheduler clock and
+// invocation counts, and the target's environment (plant or stimulus).
+// It is immutable once taken; any number of rigs may restore from it
+// concurrently.
+type Checkpoint struct {
+	bus   []model.Word
+	mem   []model.Word
+	sched sched.State
+	env   any
+}
+
+// AtMs is the scheduler time the checkpoint stands for.
+func (cp *Checkpoint) AtMs() int64 { return cp.sched.NowMs }
+
+// saveRig checkpoints the state every rig shares, plus env.
+func saveRig(r Rig, env any) *Checkpoint {
+	cp := &Checkpoint{bus: r.Bus().SnapshotInto(nil), mem: r.Mem().SnapshotInto(nil), env: env}
+	r.Sched().Save(&cp.sched)
+	return cp
+}
+
+// restoreRig restores the state every rig shares.
+func restoreRig(r Rig, cp *Checkpoint) {
+	r.Bus().RestoreRaw(cp.bus)
+	r.Mem().RestoreRaw(cp.mem)
+	r.Sched().Restore(&cp.sched)
+}
+
+// matchesRig compares the state every rig shares.
+func matchesRig(r Rig, cp *Checkpoint) bool {
+	return r.Sched().Matches(&cp.sched) && r.Bus().MatchesRaw(cp.bus) && r.Mem().MatchesRaw(cp.mem)
 }
 
 // Target is one registered system under test.

@@ -116,3 +116,14 @@ func (t tankRig) RunUntilDone(maxMs int64) (bool, error) {
 }
 
 func (t tankRig) Failed(done bool) bool { return t.r.Classify().Failed() }
+
+func (t tankRig) Save() *Checkpoint { return saveRig(t, t.r.Plant.Save()) }
+
+func (t tankRig) Restore(cp *Checkpoint) {
+	restoreRig(t, cp)
+	t.r.Plant.Restore(cp.env.(*tank.Snapshot))
+}
+
+func (t tankRig) Matches(cp *Checkpoint) bool {
+	return matchesRig(t, cp) && t.r.Plant.Matches(cp.env.(*tank.Snapshot))
+}

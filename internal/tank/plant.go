@@ -13,9 +13,9 @@ package tank
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/model"
+	"repro/internal/physics"
 )
 
 // PlantParams configures the physical tank.
@@ -77,9 +77,14 @@ func (p PlantParams) Validate() error {
 
 // Plant simulates the tank.
 type Plant struct {
-	p   PlantParams
-	rng *rand.Rand
+	p     PlantParams
+	noise physics.Noise
+	state
+}
 
+// state is the plant's dynamic state apart from the noise generator.
+// Every field is a plain value, so two states compare with ==.
+type state struct {
 	timeS  float64
 	level  float64 // m
 	valve  float64 // 0..1 commanded opening (applied directly; valve is fast)
@@ -97,14 +102,44 @@ func NewPlant(p PlantParams) *Plant {
 		panic(err)
 	}
 	return &Plant{
-		p:        p,
-		rng:      rand.New(rand.NewSource(p.Seed)),
-		level:    p.InitialLevelM,
-		inflow:   p.InflowBase,
-		minLevel: p.InitialLevelM,
-		maxLevel: p.InitialLevelM,
+		p:     p,
+		noise: physics.NewNoise(p.Seed),
+		state: state{
+			level:    p.InitialLevelM,
+			inflow:   p.InflowBase,
+			minLevel: p.InitialLevelM,
+			maxLevel: p.InitialLevelM,
+		},
 	}
 }
+
+// Snapshot is a saved copy of a plant's dynamic state, noise generator
+// included. It is immutable once taken and safe to restore from
+// concurrently.
+type Snapshot struct {
+	state state
+	noise physics.Noise
+}
+
+// Save returns a snapshot of the plant's dynamic state.
+func (pl *Plant) Save() *Snapshot {
+	return &Snapshot{state: pl.state, noise: pl.noise.Clone()}
+}
+
+// Restore puts the plant into a snapshot's state, noise generator
+// position included, without allocating. The snapshot must come from a
+// plant with the same parameters.
+func (pl *Plant) Restore(s *Snapshot) {
+	pl.state = s.state
+	pl.noise.CopyFrom(s.noise)
+}
+
+// Matches reports whether the plant's dynamic state equals the
+// snapshot's. The noise generator is not compared: StepMs makes the
+// same generator calls whatever the plant state, so two plants that
+// started from one generator state and have taken the same number of
+// steps are at the same position in the sequence.
+func (pl *Plant) Matches(s *Snapshot) bool { return pl.state == s.state }
 
 // Params returns the configuration.
 func (pl *Plant) Params() PlantParams { return pl.p }
@@ -125,7 +160,7 @@ func (pl *Plant) StepMs(dtMs int64) {
 	const dt = 0.001
 	for i := int64(0); i < dtMs; i++ {
 		// Slow inflow random walk, clamped to the disturbance band.
-		pl.inflow += (pl.rng.Float64() - 0.5) * 0.002
+		pl.inflow += (pl.noise.Float64() - 0.5) * 0.002
 		lo, hi := pl.p.InflowBase-pl.p.InflowVar, pl.p.InflowBase+pl.p.InflowVar
 		if pl.inflow < lo {
 			pl.inflow = lo
@@ -151,7 +186,7 @@ func (pl *Plant) StepMs(dtMs int64) {
 		pl.pulses += pl.inflow * dt * pl.p.PulsePerM3
 		pl.timeS += dt
 	}
-	pl.levelNoise = pl.rng.Intn(2*pl.p.LevelNoiseLSB+1) - pl.p.LevelNoiseLSB
+	pl.levelNoise = pl.noise.Intn(2*pl.p.LevelNoiseLSB+1) - pl.p.LevelNoiseLSB
 }
 
 // LevelADC returns the 10-bit level sensor sample.

@@ -58,30 +58,6 @@ func (t *Trace) Append(get func(model.SignalID) model.Word) {
 	t.n++
 }
 
-// reset truncates every column to zero length, keeping capacity, so a
-// pooled trace can be refilled without reallocating its ~horizon-sized
-// sample rows.
-func (t *Trace) reset() {
-	for i := range t.cols {
-		t.cols[i] = t.cols[i][:0]
-	}
-	t.n = 0
-}
-
-// sameSignals reports whether the trace records exactly these signals in
-// this column order.
-func (t *Trace) sameSignals(signals []model.SignalID) bool {
-	if len(t.signals) != len(signals) {
-		return false
-	}
-	for i, s := range signals {
-		if t.signals[i] != s {
-			return false
-		}
-	}
-	return true
-}
-
 // Value returns sample idx of a signal. It panics on unknown signals or
 // out-of-range indices — both are harness bugs, not data conditions.
 func (t *Trace) Value(sig model.SignalID, idx int) model.Word {
@@ -96,6 +72,11 @@ func (t *Trace) Value(sig model.SignalID, idx int) model.Word {
 func (t *Trace) Column(sig model.SignalID) []model.Word {
 	return append([]model.Word(nil), t.column(sig)...)
 }
+
+// Samples returns all samples of one signal without copying: the slice
+// shares the trace's storage and must not be modified. Online
+// comparisons against a retained golden trace read it sample by sample.
+func (t *Trace) Samples(sig model.SignalID) []model.Word { return t.column(sig) }
 
 func (t *Trace) column(sig model.SignalID) []model.Word {
 	i, ok := t.index[sig]
@@ -151,10 +132,7 @@ func Deviations(golden, injected *Trace) map[model.SignalID]int {
 // scheduler post-slot hook.
 //
 // The recorder resolves its signals to dense bus indices once, so each
-// sample is a slice walk with no map lookups, and it can be re-targeted
-// at another run with ResetFor, reusing its column storage — injection
-// campaigns pool recorders instead of reallocating ~30 000 trace rows
-// per run.
+// sample is a slice walk with no map lookups.
 type Recorder struct {
 	bus      *model.Bus
 	trace    *Trace
@@ -174,14 +152,7 @@ func NewRecorder(bus *model.Bus, signals []model.SignalID, periodMs, horizonMs i
 		trace:    NewTrace(signals, hint),
 		periodMs: periodMs,
 	}
-	r.resolve(signals)
-	return r
-}
-
-// resolve caches the dense bus index of every traced signal.
-func (r *Recorder) resolve(signals []model.SignalID) {
-	r.idxs = r.idxs[:0]
-	sys := r.bus.System()
+	sys := bus.System()
 	for _, s := range signals {
 		i, ok := sys.SignalIndex(s)
 		if !ok {
@@ -189,24 +160,7 @@ func (r *Recorder) resolve(signals []model.SignalID) {
 		}
 		r.idxs = append(r.idxs, i)
 	}
-}
-
-// ResetFor re-targets the recorder at another run: the trace is
-// truncated (column capacity retained when the signal set is unchanged)
-// and the recorder rebound to the given bus. The previously recorded
-// trace must no longer be referenced by the caller.
-func (r *Recorder) ResetFor(bus *model.Bus, signals []model.SignalID, periodMs, horizonMs int64) {
-	if periodMs <= 0 {
-		panic("trace: periodMs must be positive")
-	}
-	r.periodMs = periodMs
-	if r.trace.sameSignals(signals) {
-		r.trace.reset()
-	} else {
-		r.trace = NewTrace(signals, int(horizonMs/periodMs)+1)
-	}
-	r.bus = bus
-	r.resolve(signals)
+	return r
 }
 
 // Hook is the scheduler hook: it samples whenever nowMs falls on the
