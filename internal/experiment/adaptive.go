@@ -206,45 +206,16 @@ func (b *benchBracket) observe(col *campaign.Collector, name string, executed, p
 // livenessProfile records the def/use trace of one test case's
 // fault-free run against the internal-model injection clock. The
 // profiled rig runs exactly like an injection run of the same case
-// minus the injector, so (by the induction argument in memmap.Liveness)
-// the trace decides observability for every memory target at once.
-func livenessProfile(opts Options, t sut.Target, g *golden, hardened bool) (*memmap.Liveness, error) {
-	return configuredProfile(opts, t, g, nil, hardened)
-}
-
-// recoveryProfile profiles one recovery-study arm: the wrapped arm
-// deploys the containment wrappers and the hardened arm the hardened
-// DIST_S, since either may change the fault-free memory trace.
-func recoveryProfile(opts Options, t sut.Target, g *golden, specs []erm.Spec, arm int) (*memmap.Liveness, error) {
-	var ws []erm.Spec
-	if arm == 1 {
-		ws = specs
-	}
-	return configuredProfile(opts, t, g, ws, arm == 2)
-}
-
-func configuredProfile(opts Options, t sut.Target, g *golden, wrapSpecs []erm.Spec, hardened bool) (*memmap.Liveness, error) {
-	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{Hardened: hardened})
-	if err != nil {
-		return nil, err
-	}
-	defer t.Release(rig)
-	if len(wrapSpecs) > 0 {
-		if _, err := sut.NewERMBank(rig, wrapSpecs); err != nil {
-			return nil, err
-		}
-	}
-	l, err := memmap.NewLiveness(rig.Mem(), opts.PeriodicMs, opts.PeriodicMs)
-	if err != nil {
-		return nil, err
-	}
-	rig.Sched().OnPreSlot(l.Hook)
-	rig.Mem().OnRead(l.ReadHook())
-	rig.Mem().OnWrite(l.WriteHook())
-	if _, err := rig.RunUntilDone(g.horizonMs + opts.GraceMs); err != nil {
-		return nil, err
-	}
-	return l, nil
+// minus the injector — same variant, same wrappers, since either may
+// change the fault-free memory trace — so (by the induction argument
+// in memmap.Liveness) the trace decides observability for every memory
+// target at once.
+func livenessProfile(opts Options, t sut.Target, g *golden, v sut.Variant, wrappers []erm.Spec) (*memmap.Liveness, error) {
+	r := caseRig(t, opts.Seed, g)
+	r.variant = v
+	out, err := runInjection(r, mechanisms{wrappers: wrappers, livenessMs: opts.PeriodicMs}, nil,
+		whenDone(g.horizonMs+opts.GraceMs))
+	return out.Liveness, err
 }
 
 // maskedTarget reports whether the profile proves injections into the
@@ -424,13 +395,8 @@ func internalCoverageAdaptive(ctx context.Context, opts Options, ramLocations, s
 	}
 	rule := opts.stopRule()
 
-	res := &InternalCoverageResult{
-		RAM:            newRegionCoverage(base.t, "RAM"),
-		Stack:          newRegionCoverage(base.t, "Stack"),
-		Total:          newRegionCoverage(base.t, "Total"),
-		RAMLocations:   len(base.ramTargets),
-		StackLocations: len(base.stackTargets),
-	}
+	sets := setMembers(base.t)
+	res := base.newResult(sets)
 	regions := []*RegionCoverage{&res.RAM, &res.Stack}
 	cursors := make([]int, len(streams))
 	done := make([]bool, len(streams))
@@ -471,8 +437,8 @@ func internalCoverageAdaptive(ctx context.Context, opts Options, ramLocations, s
 			}
 			for t := 0; t < n; t++ {
 				j, out := rc.jobs[ji+t], results[ji+t]
-				regions[si].accumulateN(base.t, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
-				res.Total.accumulateN(base.t, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
+				regions[si].accumulateN(sets, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
+				res.Total.accumulateN(sets, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
 			}
 			ji += n
 			cursors[si] += n

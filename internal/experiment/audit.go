@@ -51,31 +51,26 @@ func AuditLiveness(ctx context.Context, opts Options, perClass int) (*LivenessAu
 		return nil, err
 	}
 
-	res := &LivenessAuditResult{Target: t.Name(), Cases: len(opts.Cases)}
+	all, stack, err := memTargets(opts, t)
+	if err != nil {
+		return nil, err
+	}
+	var ram []fi.MemTarget
+	for _, tgt := range all {
+		if tgt.Kind == fi.TargetRAMCell {
+			ram = append(ram, tgt)
+		}
+	}
+
+	res := &LivenessAuditResult{Target: t.Name(), Cases: len(opts.Cases), RAMTargets: len(ram), StackTargets: len(stack)}
 	for ci, g := range golds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		prof, err := livenessProfile(opts, t, g, false)
+		prof, err := livenessProfile(opts, t, g, sut.Variant{}, nil)
 		if err != nil {
 			return nil, err
 		}
-
-		scratch, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
-		if err != nil {
-			return nil, err
-		}
-		var ram, stack []fi.MemTarget
-		for _, tgt := range fi.EnumerateRAMTargets(scratch.System(), scratch.Mem()) {
-			if tgt.Kind == fi.TargetRAMCell {
-				ram = append(ram, tgt)
-			}
-		}
-		stack = fi.EnumerateStackTargets(scratch.Mem())
-		t.Release(scratch)
-
-		res.RAMTargets = len(ram)
-		res.StackTargets = len(stack)
 		var maskedRAM, maskedStack []fi.MemTarget
 		for _, tgt := range ram {
 			if maskedTarget(prof, tgt) {
@@ -100,12 +95,16 @@ func AuditLiveness(ctx context.Context, opts Options, perClass int) (*LivenessAu
 				sample = fi.SampleTargets(masked, perClass, t.RunSeed(opts.Seed, "audit-"+region, ci))
 			}
 			for _, tgt := range sample {
-				bad, err := maskedWitnessRun(opts, t, g, tgt)
+				// The pruned injection — the same periodic run the
+				// internal campaign would have executed — on the golden
+				// run's schedule, recording every signal.
+				out, err := runInjection(caseRig(t, opts.Seed, g), mechanisms{record: true},
+					periodic(tgt, opts.PeriodicMs), goldenSchedule(opts.MaxRunMs, opts.TailMs))
 				if err != nil {
 					return nil, err
 				}
 				res.Proofs++
-				for _, v := range bad {
+				for _, v := range divergences(opts, g, out) {
 					res.Violations = append(res.Violations,
 						fmt.Sprintf("case %d %s cell %v bit %d: %s", g.tc.ID, region, tgt.Cell, tgt.Bit, v))
 				}
@@ -115,46 +114,20 @@ func AuditLiveness(ctx context.Context, opts Options, perClass int) (*LivenessAu
 	return res, nil
 }
 
-// maskedWitnessRun executes the pruned injection — the same periodic
-// run the internal campaign would have executed — while recording every
-// signal, and reports each way the run observably diverged from the
-// golden run (none, for a sound masked classification).
-func maskedWitnessRun(opts Options, t sut.Target, g *golden, tgt fi.MemTarget) ([]string, error) {
-	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
-	if err != nil {
-		return nil, err
-	}
-	defer t.Release(rig)
-	rec := trace.NewRecorder(rig.Bus(), t.AllSignals(), 1, opts.MaxRunMs)
-	rig.Sched().OnPostSlot(rec.Hook)
-	pi, err := fi.NewPeriodicInjector(tgt, opts.PeriodicMs, opts.PeriodicMs, rig.Bus(), rig.Mem())
-	if err != nil {
-		return nil, err
-	}
-	rig.Sched().OnPreSlot(pi.Hook)
-	rig.Mem().OnRead(pi.MemHook())
-
-	// Replicate the golden run's schedule exactly (runGolden): run to
-	// completion within MaxRunMs, then the recording tail.
-	done, err := rig.RunUntilDone(opts.MaxRunMs)
-	if err != nil {
-		return nil, err
+// divergences lists each way a witness run observably diverged from
+// the golden run (none, for a sound masked classification).
+func divergences(opts Options, g *golden, out runOutcome) []string {
+	if out.DoneMs < 0 {
+		return []string{fmt.Sprintf("run did not complete within %d ms", opts.MaxRunMs)}
 	}
 	var bad []string
-	if !done {
-		bad = append(bad, fmt.Sprintf("run did not complete within %d ms", opts.MaxRunMs))
-		return bad, nil
+	if out.DoneMs != g.arrestMs {
+		bad = append(bad, fmt.Sprintf("completed at %d ms, golden at %d ms", out.DoneMs, g.arrestMs))
 	}
-	if arrest := rig.Sched().NowMs(); arrest != g.arrestMs {
-		bad = append(bad, fmt.Sprintf("completed at %d ms, golden at %d ms", arrest, g.arrestMs))
-	}
-	if err := rig.RunFor(opts.TailMs); err != nil {
-		return nil, err
-	}
-	for sig, idx := range trace.Deviations(g.trace, rec.Trace()) {
+	for sig, idx := range trace.Deviations(g.trace, out.Trace) {
 		if idx != trace.NoDifference {
 			bad = append(bad, fmt.Sprintf("signal %s first differs at slot %d", sig, idx))
 		}
 	}
-	return bad, nil
+	return bad
 }

@@ -36,11 +36,13 @@ func BenchmarkInjectionRun(b *testing.B) {
 	if !ok {
 		b.Fatal("DIST_S missing")
 	}
-	port := model.PortRef{Module: mod.ID, Dir: model.DirIn, Index: 1}
+	c := &permeabilityCampaign{opts: opts, t: t, golds: golds, sys: sys}
+	job := permJob{mod: mod, port: model.PortRef{Module: mod.ID, Dir: model.DirIn, Index: 1}, sig: target.SigPACNT}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := permeabilityRun(opts, t, golds[0], mod, port, target.SigPACNT, i); err != nil {
+		job.seq = i
+		if _, err := c.Execute(context.Background(), job, i); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +58,7 @@ func BenchmarkGoldenRun(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := runGolden(opts, t, opts.Cases[0]); err != nil {
+		if _, err := recordGolden(opts, t, opts.Cases[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

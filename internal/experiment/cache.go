@@ -10,7 +10,7 @@ import (
 	"repro/internal/sut"
 )
 
-// goldenKey identifies one golden run. It covers everything runGolden's
+// goldenKey identifies one golden run. It covers everything recordGolden's
 // output depends on: the target, the case identity and physics (ID
 // feeds the case seed, P1/P2 feed the scenario), the campaign seed, and
 // the run horizon options. Workers deliberately does not appear —

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/campaign"
-	"repro/internal/ea"
 	"repro/internal/fi"
 	"repro/internal/memmap"
 	"repro/internal/model"
@@ -84,6 +83,7 @@ type inputCoverageCampaign struct {
 	signals   []model.SignalID
 	golds     []*golden
 	sys       *model.System
+	eh        []eaBank
 }
 
 func (c *inputCoverageCampaign) Name() string { return "input-coverage" }
@@ -108,24 +108,33 @@ func (c *inputCoverageCampaign) Plan() ([]covJob, error) {
 	return plan, nil
 }
 
+// Execute runs one input-model injection with the full EA bank
+// deployed and reports when the corruption was observed and which
+// assertions fired, with their first detection times.
 func (c *inputCoverageCampaign) Execute(_ context.Context, j covJob, index int) (covOutcome, error) {
-	active, injectedAt, detected, err := coverageRun(c.opts, c.t, c.golds[j.caseIdx], j.port, j.sig, index)
+	g := c.golds[j.caseIdx]
+	rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "cov", index)))
+	sig, _ := c.sys.Signal(j.sig)
+	flip := drawFlip(rng, j.port, sig, c.t.InjectWindow(g.arrestMs))
+	out, err := runInjection(caseRig(c.t, c.opts.Seed, g), mechanisms{banks: c.eh},
+		injected(fi.NewInjector(flip)), atHorizon(g.horizonMs))
 	if err != nil {
 		return covOutcome{}, err
 	}
-	return covOutcome{Active: active, InjectedAt: injectedAt, DetectedAt: detected}, nil
+	return covOutcome{Active: out.Active, InjectedAt: out.FirstMs, DetectedAt: out.DetectedAt[0]}, nil
 }
 
 func (c *inputCoverageCampaign) Reduce(plan []covJob, results []covOutcome) (*InputCoverageResult, error) {
+	sets := setMembers(c.t)
 	rows := make(map[model.SignalID]*CoverageRow, len(c.signals))
 	for _, sig := range c.signals {
-		rows[sig] = newCoverageRow(c.t, sig)
+		rows[sig] = newCoverageRow(c.t, sets, sig)
 	}
-	all := newCoverageRow(c.t, "All")
+	all := newCoverageRow(c.t, sets, "All")
 	for i, j := range plan {
 		out := results[i]
-		rows[j.sig].accumulate(c.t, out.Active, out.InjectedAt, out.DetectedAt)
-		all.accumulate(c.t, out.Active, out.InjectedAt, out.DetectedAt)
+		rows[j.sig].accumulate(sets, out.Active, out.InjectedAt, out.DetectedAt)
+		all.accumulate(sets, out.Active, out.InjectedAt, out.DetectedAt)
 	}
 	res := &InputCoverageResult{All: *all}
 	for _, sig := range c.signals {
@@ -139,7 +148,7 @@ func (c *inputCoverageCampaign) ShardKey(j covJob, _ int) uint64 {
 }
 
 func (c *inputCoverageCampaign) Describe(j covJob, index int) string {
-	return describeRun(c.t, c.opts, "cov", index, j.caseIdx) + " signal=" + string(j.sig)
+	return describeRun(c.t, c.opts, c.t.RunSeed(c.opts.Seed, "cov", index), j.caseIdx) + " signal=" + string(j.sig)
 }
 
 // InputCoverage runs the Section 6.2 campaign: errors enter "via the
@@ -175,13 +184,17 @@ func newInputCoverageCampaign(ctx context.Context, opts Options, perSignal int, 
 	if err != nil {
 		return nil, err
 	}
+	eh, err := ehBank(t)
+	if err != nil {
+		return nil, err
+	}
 	return &inputCoverageCampaign{
 		opts: opts, t: t, perSignal: perSignal, signals: signals,
-		golds: golds, sys: t.System(),
+		golds: golds, sys: t.System(), eh: eh,
 	}, nil
 }
 
-func newCoverageRow(t sut.Target, sig model.SignalID) *CoverageRow {
+func newCoverageRow(t sut.Target, sets map[string][]string, sig model.SignalID) *CoverageRow {
 	r := &CoverageRow{
 		Signal:         sig,
 		PerEA:          make(map[string]stats.Proportion),
@@ -193,7 +206,7 @@ func newCoverageRow(t sut.Target, sig model.SignalID) *CoverageRow {
 		r.PerEA[s.Name] = stats.Proportion{}
 		r.PairDetections[s.Name] = make(map[string]int)
 	}
-	for name := range setMembers(t) {
+	for name := range sets {
 		r.PerSet[name] = stats.Proportion{}
 	}
 	return r
@@ -202,7 +215,7 @@ func newCoverageRow(t sut.Target, sig model.SignalID) *CoverageRow {
 // accumulate folds one run into the row. detectedAt maps each fired
 // assertion to its first detection time; injectedAt is when the
 // corruption was observed.
-func (r *CoverageRow) accumulate(t sut.Target, active bool, injectedAt int64, detectedAt map[string]int64) {
+func (r *CoverageRow) accumulate(sets map[string][]string, active bool, injectedAt int64, detectedAt map[string]int64) {
 	r.Injected++
 	if !active {
 		return
@@ -218,13 +231,8 @@ func (r *CoverageRow) accumulate(t sut.Target, active bool, injectedAt int64, de
 			r.PairDetections[a][b]++
 		}
 	}
-	for set, members := range setMembers(t) {
-		first := int64(-1)
-		for _, ea := range members {
-			if at, ok := detectedAt[ea]; ok && (first < 0 || at < first) {
-				first = at
-			}
-		}
+	for set, members := range sets {
+		first := firstDetection(members, detectedAt)
 		p := r.PerSet[set]
 		p.Add(first >= 0)
 		r.PerSet[set] = p
@@ -238,50 +246,16 @@ func (r *CoverageRow) accumulate(t sut.Target, active bool, injectedAt int64, de
 	}
 }
 
-// coverageRun executes one input-model injection run with the full EA
-// bank deployed and reports when the corruption was observed and which
-// assertions fired, with their first detection times.
-func coverageRun(opts Options, t sut.Target, g *golden, port model.PortRef, sig model.SignalID, index int) (bool, int64, map[string]int64, error) {
-	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "cov", index)))
-
-	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
-	if err != nil {
-		return false, 0, nil, err
-	}
-	defer t.Release(rig)
-	bank, err := sut.NewBank(t, rig, t.EHSet())
-	if err != nil {
-		return false, 0, nil, err
-	}
-	rig.Sched().OnPostSlot(bank.Hook)
-
-	flip := &fi.ReadFlip{
-		Port:   port,
-		Bit:    pickBit(rng, rig.System(), sig),
-		FromMs: rng.Int63n(t.InjectWindow(g.arrestMs)),
-	}
-	inj := fi.NewInjector(flip)
-	rig.Sched().OnPreSlot(inj.Hook)
-	rig.Bus().OnRead(inj.ReadHook())
-
-	if err := rig.RunFor(g.horizonMs); err != nil {
-		return false, 0, nil, err
-	}
-
-	applied, at := flip.Applied()
-	active := applied && at < g.arrestMs
-	return active, at, detectionTimes(bank), nil
-}
-
-// detectionTimes extracts each fired assertion's first detection time.
-func detectionTimes(bank *ea.Bank) map[string]int64 {
-	out := make(map[string]int64)
-	for _, a := range bank.Assertions() {
-		if at := a.FirstDetectionMs(); at >= 0 {
-			out[a.Spec().Name] = at
+// firstDetection returns the earliest first-detection time among an
+// assertion set's members, or -1 if none of them fired.
+func firstDetection(members []string, detectedAt map[string]int64) int64 {
+	first := int64(-1)
+	for _, ea := range members {
+		if at, ok := detectedAt[ea]; ok && (first < 0 || at < first) {
+			first = at
 		}
 	}
-	return out
+	return first
 }
 
 // SetCoverage is one bar group of Figure 3: total coverage, coverage
@@ -336,11 +310,11 @@ type memOutcome struct {
 // internalCoverageCampaign is the Figure 3 campaign on the engine.
 type internalCoverageCampaign struct {
 	campaign.JSONWire[memOutcome]
-	opts                         Options
-	t                            sut.Target
-	ramLocations, stackLocations int
-	golds                        []*golden
-	ramTargets, stackTargets     []fi.MemTarget
+	opts                     Options
+	t                        sut.Target
+	golds                    []*golden
+	eh                       []eaBank
+	ramTargets, stackTargets []fi.MemTarget
 
 	// Adaptive-mode state: the pruned per-region run lists (memoized by
 	// prepare, derived deterministically from the options).
@@ -350,27 +324,29 @@ type internalCoverageCampaign struct {
 
 func (c *internalCoverageCampaign) Name() string { return "internal-coverage" }
 
-// enumerateTargets samples the campaign's memory targets once, on a
-// scratch rig (cell IDs are stable across rigs: allocation order is
-// fixed by construction).
-func (c *internalCoverageCampaign) enumerateTargets() error {
-	if c.ramTargets != nil {
-		return nil
-	}
-	scratch, err := c.t.Acquire(c.opts.Cases[0], 1, sut.Variant{})
+// memTargets enumerates the target's RAM and stack injection targets
+// on a scratch rig of the first case. Cell IDs are stable across rigs
+// (allocation order is fixed by construction), so one enumeration
+// serves every case and variant.
+func memTargets(opts Options, t sut.Target) (ram, stack []fi.MemTarget, err error) {
+	scratch, err := t.Acquire(opts.Cases[0], 1, sut.Variant{})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	c.ramTargets = fi.SampleTargets(fi.EnumerateRAMTargets(scratch.System(), scratch.Mem()), c.ramLocations, c.opts.Seed*7+1)
-	c.stackTargets = fi.SampleTargets(fi.EnumerateStackTargets(scratch.Mem()), c.stackLocations, c.opts.Seed*7+2)
-	c.t.Release(scratch)
-	return nil
+	defer t.Release(scratch)
+	return fi.EnumerateRAMTargets(scratch.System(), scratch.Mem()), fi.EnumerateStackTargets(scratch.Mem()), nil
+}
+
+// sampledMemTargets draws the internal error model's RAM and stack
+// locations, as the paper samples 150 RAM and 50 stack locations.
+func sampledMemTargets(opts Options, t sut.Target, ramN, stackN int) (ram, stack []fi.MemTarget, err error) {
+	if ram, stack, err = memTargets(opts, t); err != nil {
+		return nil, nil, err
+	}
+	return fi.SampleTargets(ram, ramN, opts.Seed*7+1), fi.SampleTargets(stack, stackN, opts.Seed*7+2), nil
 }
 
 func (c *internalCoverageCampaign) Plan() ([]memJob, error) {
-	if err := c.enumerateTargets(); err != nil {
-		return nil, err
-	}
 	var plan []memJob
 	for _, tgt := range c.ramTargets {
 		for ci := range c.opts.Cases {
@@ -395,12 +371,9 @@ func (c *internalCoverageCampaign) prepare() error {
 	if c.prepared {
 		return nil
 	}
-	if err := c.enumerateTargets(); err != nil {
-		return err
-	}
 	profs := make([]*memmap.Liveness, len(c.opts.Cases))
 	for ci := range c.opts.Cases {
-		l, err := livenessProfile(c.opts, c.t, c.golds[ci], false)
+		l, err := livenessProfile(c.opts, c.t, c.golds[ci], sut.Variant{}, nil)
 		if err != nil {
 			return err
 		}
@@ -442,30 +415,40 @@ func (c *internalCoverageCampaign) round(name string, st AdaptiveRound) (*roundC
 	}, nil
 }
 
+// Execute runs one severe-model injection: periodic flips of one
+// memory target, full EA bank, failure classification.
 func (c *internalCoverageCampaign) Execute(_ context.Context, j memJob, _ int) (memOutcome, error) {
-	detected, failed, err := internalRun(c.opts, c.t, c.golds[j.caseIdx], j.tgt)
+	g := c.golds[j.caseIdx]
+	out, err := runInjection(caseRig(c.t, c.opts.Seed, g), mechanisms{banks: c.eh},
+		periodic(j.tgt, c.opts.PeriodicMs), whenDone(g.horizonMs+c.opts.GraceMs))
 	if err != nil {
 		return memOutcome{}, err
 	}
-	return memOutcome{DetectedAt: detected, Failed: failed}, nil
+	return memOutcome{DetectedAt: out.DetectedAt[0], Failed: out.Failed}, nil
 }
 
-func (c *internalCoverageCampaign) Reduce(plan []memJob, results []memOutcome) (*InternalCoverageResult, error) {
-	res := &InternalCoverageResult{
-		RAM:            newRegionCoverage(c.t, "RAM"),
-		Stack:          newRegionCoverage(c.t, "Stack"),
-		Total:          newRegionCoverage(c.t, "Total"),
+// newResult is the campaign's empty result.
+func (c *internalCoverageCampaign) newResult(sets map[string][]string) *InternalCoverageResult {
+	return &InternalCoverageResult{
+		RAM:            newRegionCoverage(sets, "RAM"),
+		Stack:          newRegionCoverage(sets, "Stack"),
+		Total:          newRegionCoverage(sets, "Total"),
 		RAMLocations:   len(c.ramTargets),
 		StackLocations: len(c.stackTargets),
 	}
+}
+
+func (c *internalCoverageCampaign) Reduce(plan []memJob, results []memOutcome) (*InternalCoverageResult, error) {
+	sets := setMembers(c.t)
+	res := c.newResult(sets)
 	for i, j := range plan {
 		out := results[i]
 		region := &res.RAM
 		if j.stack {
 			region = &res.Stack
 		}
-		region.accumulateN(c.t, out.DetectedAt, out.Failed, c.opts.PeriodicMs, j.weight)
-		res.Total.accumulateN(c.t, out.DetectedAt, out.Failed, c.opts.PeriodicMs, j.weight)
+		region.accumulateN(sets, out.DetectedAt, out.Failed, c.opts.PeriodicMs, j.weight)
+		res.Total.accumulateN(sets, out.DetectedAt, out.Failed, c.opts.PeriodicMs, j.weight)
 	}
 	res.PlannedRuns = res.Total.Runs
 	res.ExecutedRuns = len(plan)
@@ -476,12 +459,12 @@ func (c *internalCoverageCampaign) ShardKey(j memJob, _ int) uint64 {
 	return shardKeyFor(c.opts, c.opts.Cases[j.caseIdx])
 }
 
-func (c *internalCoverageCampaign) Describe(j memJob, index int) string {
+func (c *internalCoverageCampaign) Describe(j memJob, _ int) string {
 	region := "RAM"
 	if j.stack {
 		region = "stack"
 	}
-	return describeRun(c.t, c.opts, "internal", index, j.caseIdx) + " region=" + region
+	return describeCase(c.t, c.opts, j.caseIdx) + " region=" + region
 }
 
 // InternalCoverage runs the Section 7 campaign: single bit-flips
@@ -522,18 +505,24 @@ func newInternalCoverageCampaign(ctx context.Context, opts Options, ramLocations
 	if err != nil {
 		return nil, err
 	}
-	return &internalCoverageCampaign{
-		opts: opts, t: t, ramLocations: ramLocations, stackLocations: stackLocations, golds: golds,
-	}, nil
+	eh, err := ehBank(t)
+	if err != nil {
+		return nil, err
+	}
+	ram, stack, err := sampledMemTargets(opts, t, ramLocations, stackLocations)
+	if err != nil {
+		return nil, err
+	}
+	return &internalCoverageCampaign{opts: opts, t: t, golds: golds, eh: eh, ramTargets: ram, stackTargets: stack}, nil
 }
 
-func newRegionCoverage(t sut.Target, name string) RegionCoverage {
+func newRegionCoverage(sets map[string][]string, name string) RegionCoverage {
 	rc := RegionCoverage{
 		Region:         name,
 		PerSet:         make(map[string]SetCoverage),
 		SetLatenciesMs: make(map[string][]float64),
 	}
-	for set := range setMembers(t) {
+	for set := range sets {
 		rc.PerSet[set] = SetCoverage{}
 	}
 	return rc
@@ -543,7 +532,7 @@ func newRegionCoverage(t sut.Target, name string) RegionCoverage {
 // accumulation behind equivalence-class pruning, where one executed
 // representative stands for n provably-identical runs. n below 1 counts
 // as 1 (plain accumulation).
-func (rc *RegionCoverage) accumulateN(t sut.Target, detectedAt map[string]int64, failed bool, injectedAt int64, n int) {
+func (rc *RegionCoverage) accumulateN(sets map[string][]string, detectedAt map[string]int64, failed bool, injectedAt int64, n int) {
 	if n < 1 {
 		n = 1
 	}
@@ -551,13 +540,8 @@ func (rc *RegionCoverage) accumulateN(t sut.Target, detectedAt map[string]int64,
 	if failed {
 		rc.Failures += n
 	}
-	for set, members := range setMembers(t) {
-		first := int64(-1)
-		for _, ea := range members {
-			if at, ok := detectedAt[ea]; ok && (first < 0 || at < first) {
-				first = at
-			}
-		}
+	for set, members := range sets {
+		first := firstDetection(members, detectedAt)
 		sc := rc.PerSet[set]
 		sc.Tot.AddN(first >= 0, n)
 		if failed {
@@ -576,33 +560,4 @@ func (rc *RegionCoverage) accumulateN(t sut.Target, detectedAt map[string]int64,
 			}
 		}
 	}
-}
-
-// internalRun executes one severe-model run: periodic flips of one
-// memory target, full EA bank, failure classification. It returns each
-// fired assertion's first detection time.
-func internalRun(opts Options, t sut.Target, g *golden, tgt fi.MemTarget) (map[string]int64, bool, error) {
-	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
-	if err != nil {
-		return nil, false, err
-	}
-	defer t.Release(rig)
-	bank, err := sut.NewBank(t, rig, t.EHSet())
-	if err != nil {
-		return nil, false, err
-	}
-	rig.Sched().OnPostSlot(bank.Hook)
-
-	pi, err := fi.NewPeriodicInjector(tgt, opts.PeriodicMs, opts.PeriodicMs, rig.Bus(), rig.Mem())
-	if err != nil {
-		return nil, false, err
-	}
-	rig.Sched().OnPreSlot(pi.Hook)
-	rig.Mem().OnRead(pi.MemHook())
-
-	done, err := rig.RunUntilDone(g.horizonMs + opts.GraceMs)
-	if err != nil {
-		return nil, false, err
-	}
-	return detectionTimes(bank), rig.Failed(done), nil
 }

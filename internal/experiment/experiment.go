@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/dispatch"
+	"repro/internal/fi"
 	"repro/internal/model"
 	"repro/internal/sut"
 	"repro/internal/trace"
@@ -259,56 +260,35 @@ func (g *golden) checkpointAt(ms int64) *sut.Checkpoint {
 }
 
 // describeRun renders one run's identity for engine diagnostics: the
-// campaign-derived seed and the test case a failing run belonged to.
-func describeRun(t sut.Target, opts Options, name string, index, caseIdx int) string {
-	if caseIdx < 0 || caseIdx >= len(opts.Cases) {
-		return fmt.Sprintf("seed=%d", t.RunSeed(opts.Seed, name, index))
-	}
-	tc := opts.Cases[caseIdx]
-	return fmt.Sprintf("seed=%d case=%d %s",
-		t.RunSeed(opts.Seed, name, index), tc.ID, t.DescribeCase(tc))
+// seed the run draws its randomness from, and its test case.
+func describeRun(t sut.Target, opts Options, seed int64, caseIdx int) string {
+	return fmt.Sprintf("seed=%d %s", seed, describeCase(t, opts, caseIdx))
 }
 
-// runGolden executes the fault-free reference run of a test case,
+// describeCase renders the test case a failing run belonged to.
+func describeCase(t sut.Target, opts Options, caseIdx int) string {
+	if caseIdx < 0 || caseIdx >= len(opts.Cases) {
+		return fmt.Sprintf("case index %d", caseIdx)
+	}
+	tc := opts.Cases[caseIdx]
+	return fmt.Sprintf("case=%d %s", tc.ID, t.DescribeCase(tc))
+}
+
+// recordGolden executes the fault-free reference run of a test case,
 // recording every signal at the 1 ms slot period and checkpointing the
 // rig every goldenCheckpointMs. Trace and checkpoints are retained:
 // goldens are cached and compared against for the rest of the process.
-func runGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
-	rig, err := t.Acquire(tc, t.CaseSeed(opts.Seed, tc), sut.Variant{})
+func recordGolden(opts Options, t sut.Target, tc sut.Case) (*golden, error) {
+	out, err := runInjection(rigSpec{t: t, seed: opts.Seed, tc: tc}, mechanisms{record: true, checkpoints: true},
+		nil, goldenSchedule(opts.MaxRunMs, opts.TailMs))
 	if err != nil {
 		return nil, err
 	}
-	defer t.Release(rig)
-	rec := trace.NewRecorder(rig.Bus(), t.AllSignals(), 1, opts.MaxRunMs)
-	rig.Sched().OnPostSlot(rec.Hook)
-	// Taken after the rig's own post-slot hooks, each checkpoint stands
-	// for the start of the next slot (slots are 1 ms on every target,
-	// as the 1 ms trace assumes).
-	var cps []*sut.Checkpoint
-	rig.Sched().OnPostSlot(func(nowMs int64) {
-		if (nowMs+1)%goldenCheckpointMs == 0 {
-			cps = append(cps, rig.Save())
-		}
-	})
-	done, err := rig.RunUntilDone(opts.MaxRunMs)
-	if err != nil {
-		return nil, err
-	}
-	if !done {
+	if out.DoneMs < 0 {
 		return nil, fmt.Errorf("experiment: golden run of case %d (%s) did not complete within %d ms",
 			tc.ID, t.DescribeCase(tc), opts.MaxRunMs)
 	}
-	arrest := rig.Sched().NowMs()
-	if err := rig.RunFor(opts.TailMs); err != nil {
-		return nil, err
-	}
-	return &golden{
-		tc:        tc,
-		trace:     rec.Trace(),
-		arrestMs:  arrest,
-		horizonMs: rig.Sched().NowMs(),
-		cps:       cps,
-	}, nil
+	return &golden{tc: tc, trace: out.Trace, arrestMs: out.DoneMs, horizonMs: out.EndMs, cps: out.Checkpoints}, nil
 }
 
 // goldens returns the reference data of every case, computing cache
@@ -335,7 +315,7 @@ func goldens(ctx context.Context, opts Options, t sut.Target) ([]*golden, error)
 	}
 	err := opts.executor().Run(ctx, len(missing), keys, func(j int) error {
 		i := missing[j]
-		g, err := runGolden(opts, t, opts.Cases[i])
+		g, err := recordGolden(opts, t, opts.Cases[i])
 		if err != nil {
 			return fmt.Errorf("golden run of case %d: %w", opts.Cases[i].ID, err)
 		}
@@ -369,11 +349,21 @@ func probePort(t sut.Target) (model.PortRef, *model.Signal, error) {
 	return consumers[0], sig, nil
 }
 
-// pickBit draws a uniformly random bit index for a signal.
-func pickBit(rng *rand.Rand, sys *model.System, sig model.SignalID) uint8 {
-	s, ok := sys.Signal(sig)
-	if !ok {
-		panic(fmt.Sprintf("experiment: unknown signal %q", sig))
+// probeFlip is the fault of a sensor-side study run: a transient flip
+// at the probe port drawn from seed, or none for a fault-free run.
+func probeFlip(t sut.Target, g *golden, port model.PortRef, sig *model.Signal, seed int64, faultFree bool) fault {
+	if faultFree {
+		return nil
 	}
-	return uint8(rng.Intn(int(s.Type.Width)))
+	rng := rand.New(rand.NewSource(seed))
+	return injected(fi.NewInjector(drawFlip(rng, port, sig, t.InjectWindow(g.arrestMs))))
+}
+
+// describeProbeRun renders a sensor-side study run: an injection names
+// the seed it draws from; a fault-free run draws none.
+func describeProbeRun(t sut.Target, opts Options, caseIdx int, seed int64, faultFree bool) string {
+	if faultFree {
+		return describeCase(t, opts, caseIdx) + " golden"
+	}
+	return describeRun(t, opts, seed, caseIdx) + " injected"
 }

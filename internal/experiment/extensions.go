@@ -64,6 +64,7 @@ type sensitivityCampaign struct {
 	golds    []*golden
 	port     model.PortRef
 	sig      *model.Signal
+	eh       []eaBank
 }
 
 func (c *sensitivityCampaign) Name() string { return "model-sensitivity" }
@@ -96,11 +97,13 @@ func (c *sensitivityCampaign) Execute(_ context.Context, j sensJob, index int) (
 	default:
 		corr.Bit = uint8(rng.Intn(int(c.sig.Type.Width)))
 	}
-	active, detected, err := corruptionCoverageRun(c.opts, c.t, g, corr)
+	out, err := runInjection(caseRig(c.t, c.opts.Seed, g), mechanisms{banks: c.eh},
+		func(rig sut.Rig) (injector, error) { return fi.NewCorruptionInjector(corr, rig.Bus()) },
+		atHorizon(g.horizonMs))
 	if err != nil {
 		return sensOutcome{}, err
 	}
-	return sensOutcome{Active: active, DetectedAt: detected}, nil
+	return sensOutcome{Active: out.Active, DetectedAt: out.DetectedAt[0]}, nil
 }
 
 func (c *sensitivityCampaign) Reduce(plan []sensJob, results []sensOutcome) (*ModelSensitivityResult, error) {
@@ -109,13 +112,14 @@ func (c *sensitivityCampaign) Reduce(plan []sensJob, results []sensOutcome) (*Mo
 		ActivePerModel: make(map[string]int, len(c.models)),
 		TotalRuns:      len(plan),
 	}
+	sets := setMembers(c.t)
 	for _, m := range c.models {
 		res.Models = append(res.Models, m.Kind.String())
-		sets := make(map[string]stats.Proportion, len(setMembers(c.t)))
-		for set := range setMembers(c.t) {
-			sets[set] = stats.Proportion{}
+		props := make(map[string]stats.Proportion, len(sets))
+		for set := range sets {
+			props[set] = stats.Proportion{}
 		}
-		res.PerModel[m.Kind.String()] = sets
+		res.PerModel[m.Kind.String()] = props
 	}
 	for i, j := range plan {
 		out := results[i]
@@ -124,16 +128,9 @@ func (c *sensitivityCampaign) Reduce(plan []sensJob, results []sensOutcome) (*Mo
 		}
 		name := c.models[j.modelIdx].Kind.String()
 		res.ActivePerModel[name]++
-		for set, members := range setMembers(c.t) {
-			hit := false
-			for _, ea := range members {
-				if _, ok := out.DetectedAt[ea]; ok {
-					hit = true
-					break
-				}
-			}
+		for set, members := range sets {
 			p := res.PerModel[name][set]
-			p.Add(hit)
+			p.Add(firstDetection(members, out.DetectedAt) >= 0)
 			res.PerModel[name][set] = p
 		}
 	}
@@ -145,7 +142,7 @@ func (c *sensitivityCampaign) ShardKey(j sensJob, _ int) uint64 {
 }
 
 func (c *sensitivityCampaign) Describe(j sensJob, index int) string {
-	return describeRun(c.t, c.opts, "modsens", index, j.caseIdx) +
+	return describeRun(c.t, c.opts, c.t.RunSeed(c.opts.Seed, "modsens", index), j.caseIdx) +
 		" model=" + c.models[j.modelIdx].Kind.String()
 }
 
@@ -180,38 +177,14 @@ func newSensitivityCampaign(ctx context.Context, opts Options, perModel int) (*s
 	if err != nil {
 		return nil, err
 	}
+	eh, err := ehBank(t)
+	if err != nil {
+		return nil, err
+	}
 	return &sensitivityCampaign{
 		opts: opts, t: t, perModel: perModel, models: sensitivityModels(),
-		golds: golds, port: port, sig: sig,
+		golds: golds, port: port, sig: sig, eh: eh,
 	}, nil
-}
-
-// corruptionCoverageRun is coverageRun generalized over error models.
-func corruptionCoverageRun(opts Options, t sut.Target, g *golden, c fi.Corruption) (bool, map[string]int64, error) {
-	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
-	if err != nil {
-		return false, nil, err
-	}
-	defer t.Release(rig)
-	bank, err := sut.NewBank(t, rig, t.EHSet())
-	if err != nil {
-		return false, nil, err
-	}
-	rig.Sched().OnPostSlot(bank.Hook)
-
-	ci, err := fi.NewCorruptionInjector(c, rig.Bus())
-	if err != nil {
-		return false, nil, err
-	}
-	rig.Sched().OnPreSlot(ci.Hook)
-	rig.Bus().OnRead(ci.ReadHook())
-
-	if err := rig.RunFor(g.horizonMs); err != nil {
-		return false, nil, err
-	}
-	n, first := ci.Applied()
-	active := n > 0 && first < g.arrestMs
-	return active, detectionTimes(bank), nil
 }
 
 // RecoveryArm is one arm of the recovery study.
@@ -268,25 +241,16 @@ type recOutcome struct {
 // recoveryCampaign is the A5 extension on the engine.
 type recoveryCampaign struct {
 	campaign.JSONWire[recOutcome]
-	opts                         Options
-	t                            sut.Target
-	ramLocations, stackLocations int
-	specs                        []erm.Spec
-	golds                        []*golden
-	ramTargets, stackTargets     []fi.MemTarget
+	opts                     Options
+	t                        sut.Target
+	specs                    []erm.Spec
+	golds                    []*golden
+	ramTargets, stackTargets []fi.MemTarget
 }
 
 func (c *recoveryCampaign) Name() string { return "recovery" }
 
 func (c *recoveryCampaign) Plan() ([]recJob, error) {
-	scratch, err := c.t.Acquire(c.opts.Cases[0], 1, sut.Variant{})
-	if err != nil {
-		return nil, err
-	}
-	c.ramTargets = fi.SampleTargets(fi.EnumerateRAMTargets(scratch.System(), scratch.Mem()), c.ramLocations, c.opts.Seed*7+1)
-	c.stackTargets = fi.SampleTargets(fi.EnumerateStackTargets(scratch.Mem()), c.stackLocations, c.opts.Seed*7+2)
-	c.t.Release(scratch)
-
 	if c.opts.Adaptive {
 		return c.prunedPlan()
 	}
@@ -317,7 +281,8 @@ func (c *recoveryCampaign) prunedPlan() ([]recJob, error) {
 	for arm := 0; arm < 3; arm++ {
 		profs[arm] = make([]*memmap.Liveness, len(c.opts.Cases))
 		for ci := range c.opts.Cases {
-			l, err := recoveryProfile(c.opts, c.t, c.golds[ci], c.specs, arm)
+			v, ws := c.arm(arm)
+			l, err := livenessProfile(c.opts, c.t, c.golds[ci], v, ws)
 			if err != nil {
 				return nil, err
 			}
@@ -368,16 +333,28 @@ func (c *recoveryCampaign) PlannedRuns() int {
 	return (len(c.ramTargets) + len(c.stackTargets)) * len(c.opts.Cases) * 3
 }
 
-func (c *recoveryCampaign) Execute(_ context.Context, j recJob, _ int) (recOutcome, error) {
-	var ws []erm.Spec
-	if j.arm == 1 {
-		ws = c.specs
+// arm returns what one arm of the study deploys: the wrapped arm (1)
+// the containment wrappers, the hardened arm (2) the hardened build.
+func (c *recoveryCampaign) arm(arm int) (sut.Variant, []erm.Spec) {
+	if arm == 1 {
+		return sut.Variant{}, c.specs
 	}
-	failed, rec, err := severeRun(c.opts, c.t, c.golds[j.caseIdx], j.tgt, ws, j.arm == 2)
+	return sut.Variant{Hardened: arm == 2}, nil
+}
+
+// Execute runs one internal-model injection under the job's arm and
+// classifies the outcome.
+func (c *recoveryCampaign) Execute(_ context.Context, j recJob, _ int) (recOutcome, error) {
+	g := c.golds[j.caseIdx]
+	r := caseRig(c.t, c.opts.Seed, g)
+	var ws []erm.Spec
+	r.variant, ws = c.arm(j.arm)
+	out, err := runInjection(r, mechanisms{wrappers: ws}, periodic(j.tgt, c.opts.PeriodicMs),
+		whenDone(g.horizonMs+c.opts.GraceMs))
 	if err != nil {
 		return recOutcome{}, err
 	}
-	return recOutcome{Failed: failed, Recoveries: rec}, nil
+	return recOutcome{Failed: out.Failed, Recoveries: out.Recoveries}, nil
 }
 
 func (c *recoveryCampaign) Reduce(plan []recJob, results []recOutcome) (*RecoveryStudyResult, error) {
@@ -420,9 +397,9 @@ func (c *recoveryCampaign) ShardKey(j recJob, _ int) uint64 {
 	return shardKeyFor(c.opts, c.opts.Cases[j.caseIdx])
 }
 
-func (c *recoveryCampaign) Describe(j recJob, index int) string {
+func (c *recoveryCampaign) Describe(j recJob, _ int) string {
 	arm := [...]string{"baseline", "wrapped", "hardened"}[j.arm]
-	return describeRun(c.t, c.opts, "recovery", index, j.caseIdx) + " arm=" + arm
+	return describeCase(c.t, c.opts, j.caseIdx) + " arm=" + arm
 }
 
 // RecoveryStudy runs the internal error model three times over the same
@@ -455,42 +432,9 @@ func newRecoveryCampaign(ctx context.Context, opts Options, ramLocations, stackL
 	if err != nil {
 		return nil, err
 	}
-	return &recoveryCampaign{
-		opts: opts, t: t, ramLocations: ramLocations, stackLocations: stackLocations,
-		specs: specs, golds: golds,
-	}, nil
-}
-
-// severeRun executes one internal-model run, optionally with recovery
-// wrappers and/or the hardened DIST_S deployed, and classifies the
-// outcome.
-func severeRun(opts Options, t sut.Target, g *golden, tgt fi.MemTarget, wrapSpecs []erm.Spec, hardened bool) (bool, int, error) {
-	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{Hardened: hardened})
+	ram, stack, err := sampledMemTargets(opts, t, ramLocations, stackLocations)
 	if err != nil {
-		return false, 0, err
+		return nil, err
 	}
-	defer t.Release(rig)
-	var wrappers *erm.Bank
-	if len(wrapSpecs) > 0 {
-		wrappers, err = sut.NewERMBank(rig, wrapSpecs)
-		if err != nil {
-			return false, 0, err
-		}
-	}
-	pi, err := fi.NewPeriodicInjector(tgt, opts.PeriodicMs, opts.PeriodicMs, rig.Bus(), rig.Mem())
-	if err != nil {
-		return false, 0, err
-	}
-	rig.Sched().OnPreSlot(pi.Hook)
-	rig.Mem().OnRead(pi.MemHook())
-
-	done, err := rig.RunUntilDone(g.horizonMs + opts.GraceMs)
-	if err != nil {
-		return false, 0, err
-	}
-	recoveries := 0
-	if wrappers != nil {
-		recoveries = wrappers.TotalRecoveries()
-	}
-	return rig.Failed(done), recoveries, nil
+	return &recoveryCampaign{opts: opts, t: t, specs: specs, golds: golds, ramTargets: ram, stackTargets: stack}, nil
 }

@@ -92,7 +92,7 @@ func TestHardenedDistSReducesDominantFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golds, err := goldens(context.Background(), opts, st)
+	c, err := newRecoveryCampaign(context.Background(), opts, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +113,19 @@ func TestHardenedDistSReducesDominantFailures(t *testing.T) {
 	base, hard := 0, 0
 	for b := uint8(0); b < cell.Type.Width; b++ {
 		tgt := fi.MemTarget{Kind: fi.TargetRAMCell, Cell: cell.ID, Bit: b}
-		for gi := range golds {
-			f1, _, err := severeRun(opts, st, golds[gi], tgt, nil, false)
+		for gi := range c.golds {
+			baseline, err := c.Execute(context.Background(), recJob{tgt: tgt, caseIdx: gi, arm: 0}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f2, _, err := severeRun(opts, st, golds[gi], tgt, nil, true)
+			hardened, err := c.Execute(context.Background(), recJob{tgt: tgt, caseIdx: gi, arm: 2}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f1 {
+			if baseline.Failed {
 				base++
 			}
-			if f2 {
+			if hardened.Failed {
 				hard++
 			}
 		}

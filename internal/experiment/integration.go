@@ -3,11 +3,9 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/ea"
-	"repro/internal/fi"
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/sut"
@@ -35,10 +33,11 @@ type IntegrationPoint struct {
 }
 
 // integJob is one integration-study run: either the case's fault-free
-// run or injection k.
+// run or an injection drawn from seed.
 type integJob struct {
-	caseIdx, k int
-	golden     bool
+	caseIdx int
+	seed    int64
+	golden  bool
 }
 
 // integOutcome is one run's verdict under all three banks,
@@ -54,13 +53,15 @@ type integOutcome struct {
 // integrationCampaign is the EA-integration study on the engine.
 type integrationCampaign struct {
 	campaign.JSONWire[integOutcome]
-	opts       Options
-	t          sut.Target
-	perSignal  int
-	golds      []*golden
-	port       model.PortRef
-	sig        *model.Signal
-	ea4, tight ea.Spec
+	opts      Options
+	t         sut.Target
+	perSignal int
+	golds     []*golden
+	port      model.PortRef
+	sig       *model.Signal
+	// banks deploys the probe guard sampled, the same guard inline, and
+	// the tightened guard inline.
+	banks []eaBank
 }
 
 func (c *integrationCampaign) Name() string { return "integration" }
@@ -74,62 +75,27 @@ func (c *integrationCampaign) Plan() ([]integJob, error) {
 	for ci := range c.opts.Cases {
 		plan = append(plan, integJob{caseIdx: ci, golden: true})
 		for k := 0; k < perCase; k++ {
-			plan = append(plan, integJob{caseIdx: ci, k: k})
+			plan = append(plan, integJob{caseIdx: ci, seed: c.t.RunSeed(c.opts.Seed, "integ", ci*1_000_000+k)})
 		}
 	}
 	return plan, nil
 }
 
+// Execute runs one injection (or the fault-free run) against all
+// three pulscnt deployments at once.
 func (c *integrationCampaign) Execute(_ context.Context, j integJob, _ int) (integOutcome, error) {
 	g := c.golds[j.caseIdx]
-	rig, err := c.t.Acquire(g.tc, c.t.CaseSeed(c.opts.Seed, g.tc), sut.Variant{})
+	out, err := runInjection(caseRig(c.t, c.opts.Seed, g), mechanisms{banks: c.banks},
+		probeFlip(c.t, g, c.port, c.sig, j.seed, j.golden), atHorizon(g.horizonMs))
 	if err != nil {
-		return integOutcome{}, err
-	}
-	defer c.t.Release(rig)
-	sampledBank, err := ea.NewBank(rig.Bus(), c.t.ControlPeriodMs(), []ea.Spec{c.ea4})
-	if err != nil {
-		return integOutcome{}, err
-	}
-	rig.Sched().OnPostSlot(sampledBank.Hook)
-	writeBank, err := ea.NewWriteBank(rig.Bus(), []ea.Spec{c.ea4})
-	if err != nil {
-		return integOutcome{}, err
-	}
-	rig.Sched().OnPreSlot(writeBank.Hook)
-	rig.Bus().OnWrite(writeBank.WriteHook())
-	tightBank, err := ea.NewWriteBank(rig.Bus(), []ea.Spec{c.tight})
-	if err != nil {
-		return integOutcome{}, err
-	}
-	rig.Sched().OnPreSlot(tightBank.Hook)
-	rig.Bus().OnWrite(tightBank.WriteHook())
-
-	active := true
-	if !j.golden {
-		rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "integ", j.caseIdx*1_000_000+j.k)))
-		flip := &fi.ReadFlip{
-			Port:   c.port,
-			Bit:    uint8(rng.Intn(int(c.sig.Type.Width))),
-			FromMs: rng.Int63n(c.t.InjectWindow(g.arrestMs)),
-		}
-		inj := fi.NewInjector(flip)
-		rig.Sched().OnPreSlot(inj.Hook)
-		rig.Bus().OnRead(inj.ReadHook())
-		if err := rig.RunFor(g.horizonMs); err != nil {
-			return integOutcome{}, err
-		}
-		applied, at := flip.Applied()
-		active = applied && at < g.arrestMs
-	} else if err := rig.RunFor(g.horizonMs); err != nil {
 		return integOutcome{}, err
 	}
 	return integOutcome{
 		Golden:  j.golden,
-		Active:  active,
-		Sampled: sampledBank.Detected(),
-		Inlined: writeBank.Detected(),
-		TightOn: tightBank.Detected(),
+		Active:  out.Active,
+		Sampled: len(out.DetectedAt[0]) > 0,
+		Inlined: len(out.DetectedAt[1]) > 0,
+		TightOn: len(out.DetectedAt[2]) > 0,
 	}, nil
 }
 
@@ -158,12 +124,8 @@ func (c *integrationCampaign) ShardKey(j integJob, _ int) uint64 {
 	return shardKeyFor(c.opts, c.opts.Cases[j.caseIdx])
 }
 
-func (c *integrationCampaign) Describe(j integJob, index int) string {
-	kind := "injected"
-	if j.golden {
-		kind = "golden"
-	}
-	return describeRun(c.t, c.opts, "integ", index, j.caseIdx) + " " + kind
+func (c *integrationCampaign) Describe(j integJob, _ int) string {
+	return describeProbeRun(c.t, c.opts, j.caseIdx, j.seed, j.golden)
 }
 
 // EAIntegrationStudy measures how much detection the sampling
@@ -214,7 +176,7 @@ func newIntegrationCampaign(ctx context.Context, opts Options, perSignal int) (*
 	}
 
 	return &integrationCampaign{
-		opts: opts, t: t, perSignal: perSignal, golds: golds,
-		port: port, sig: sig, ea4: ea4, tight: tight,
+		opts: opts, t: t, perSignal: perSignal, golds: golds, port: port, sig: sig,
+		banks: []eaBank{{specs: []ea.Spec{ea4}}, {specs: []ea.Spec{ea4}, inline: true}, {specs: []ea.Spec{tight}, inline: true}},
 	}, nil
 }

@@ -88,6 +88,7 @@ type matrixCampaign struct {
 	golds   [][]*golden
 	ports   []model.PortRef
 	sigs    []*model.Signal
+	eh      [][]eaBank
 }
 
 func (c *matrixCampaign) Name() string { return "matrix" }
@@ -115,113 +116,79 @@ func (c *matrixCampaign) Execute(_ context.Context, j matrixJob, index int) (mat
 	topts := c.topts[j.tIdx]
 	g := c.golds[j.tIdx][j.caseIdx]
 	rng := rand.New(rand.NewSource(t.RunSeed(topts.Seed, "matrix", index)))
-
-	rig, err := t.Acquire(g.tc, t.CaseSeed(topts.Seed, g.tc), sut.Variant{})
+	out, err := runInjection(caseRig(t, topts.Seed, g), mechanisms{banks: c.eh[j.tIdx]},
+		c.fault(j, rng, t.InjectWindow(g.arrestMs)), atHorizon(g.horizonMs))
 	if err != nil {
 		return matrixOutcome{}, err
 	}
-	defer t.Release(rig)
-	bank, err := sut.NewBank(t, rig, t.EHSet())
-	if err != nil {
-		return matrixOutcome{}, err
-	}
-	rig.Sched().OnPostSlot(bank.Hook)
+	return matrixOutcome{Active: out.Active, DetectedAt: out.DetectedAt[0]}, nil
+}
 
-	window := t.InjectWindow(g.arrestMs)
-	var applied func() (int, int64)
+// fault draws the job's error model instance from the run's generator.
+func (c *matrixCampaign) fault(j matrixJob, rng *rand.Rand, window int64) fault {
+	t, sig := c.targets[j.tIdx], c.sigs[j.tIdx]
 	switch c.models[j.mIdx] {
 	case MatrixTransient:
-		flip := &fi.ReadFlip{
-			Port:   c.ports[j.tIdx],
-			Bit:    pickBit(rng, rig.System(), c.sigs[j.tIdx].ID),
-			FromMs: rng.Int63n(window),
-		}
-		inj := fi.NewInjector(flip)
-		rig.Sched().OnPreSlot(inj.Hook)
-		rig.Bus().OnRead(inj.ReadHook())
-		applied = func() (int, int64) {
-			ok, at := flip.Applied()
-			if !ok {
-				return 0, -1
-			}
-			return 1, at
+		return func(sut.Rig) (injector, error) {
+			return fi.NewInjector(drawFlip(rng, c.ports[j.tIdx], sig, window)), nil
 		}
 	case MatrixStuck:
-		tgts := fi.EnumerateRAMTargets(rig.System(), rig.Mem())
-		if len(tgts) == 0 {
-			return matrixOutcome{}, fmt.Errorf("experiment: target %s has no RAM cells to stick", t.Name())
+		return func(rig sut.Rig) (injector, error) {
+			tgts := fi.EnumerateRAMTargets(rig.System(), rig.Mem())
+			if len(tgts) == 0 {
+				return nil, fmt.Errorf("experiment: target %s has no RAM cells to stick", t.Name())
+			}
+			return fi.NewStuckAtInjector(fi.StuckAt{
+				Target: tgts[rng.Intn(len(tgts))],
+				Value:  uint8(rng.Intn(2)),
+				FromMs: rng.Int63n(window),
+			}, rig.Bus(), rig.Mem())
 		}
-		inj, err := fi.NewStuckAtInjector(fi.StuckAt{
-			Target: tgts[rng.Intn(len(tgts))],
-			Value:  uint8(rng.Intn(2)),
-			FromMs: rng.Int63n(window),
-		}, rig.Bus(), rig.Mem())
-		if err != nil {
-			return matrixOutcome{}, err
-		}
-		rig.Sched().OnPreSlot(inj.Hook)
-		rig.Mem().OnRead(inj.MemHook())
-		applied = inj.Applied
 	case MatrixBurst:
-		sig := c.sigs[j.tIdx]
-		width := uint8(3)
-		if sig.Type.Width < width {
-			width = sig.Type.Width
+		width := min(uint8(3), sig.Type.Width)
+		return func(rig sut.Rig) (injector, error) {
+			return fi.NewBurstFlipInjector(fi.BurstFlip{
+				Target: fi.MemTarget{
+					Kind:   fi.TargetBusSignal,
+					Signal: sig.ID,
+					Bit:    uint8(rng.Intn(int(sig.Type.Width-width) + 1)),
+				},
+				Width:  width,
+				FromMs: rng.Int63n(window),
+			}, rig.Bus(), rig.Mem())
 		}
-		inj, err := fi.NewBurstFlipInjector(fi.BurstFlip{
-			Target: fi.MemTarget{
-				Kind:   fi.TargetBusSignal,
-				Signal: sig.ID,
-				Bit:    uint8(rng.Intn(int(sig.Type.Width-width) + 1)),
-			},
-			Width:  width,
-			FromMs: rng.Int63n(window),
-		}, rig.Bus(), rig.Mem())
-		if err != nil {
-			return matrixOutcome{}, err
-		}
-		rig.Sched().OnPreSlot(inj.Hook)
-		rig.Mem().OnRead(inj.MemHook())
-		applied = inj.Applied
 	case MatrixDelay, MatrixOmission:
 		mode := fi.SlotDelay
 		if c.models[j.mIdx] == MatrixOmission {
 			mode = fi.SlotOmission
 		}
-		mods := rig.System().Modules()
-		from := rng.Int63n(window)
-		inj, err := fi.NewSlotFaultInjector(fi.SlotFault{
-			Module: mods[rng.Intn(len(mods))].ID,
-			Mode:   mode,
-			FromMs: from,
-			// A bounded executive outage: ten control periods.
-			UntilMs: from + 10*t.ControlPeriodMs(),
-		}, rig.System())
-		if err != nil {
-			return matrixOutcome{}, err
+		return func(rig sut.Rig) (injector, error) {
+			mods := rig.System().Modules()
+			from := rng.Int63n(window)
+			return fi.NewSlotFaultInjector(fi.SlotFault{
+				Module: mods[rng.Intn(len(mods))].ID,
+				Mode:   mode,
+				FromMs: from,
+				// A bounded executive outage: ten control periods.
+				UntilMs: from + 10*t.ControlPeriodMs(),
+			}, rig.System())
 		}
-		rig.Sched().OnStep(inj.Filter())
-		applied = inj.Applied
-	default:
-		return matrixOutcome{}, fmt.Errorf("experiment: unknown matrix error model %q", c.models[j.mIdx])
 	}
-
-	if err := rig.RunFor(g.horizonMs); err != nil {
-		return matrixOutcome{}, err
+	return func(sut.Rig) (injector, error) {
+		return nil, fmt.Errorf("experiment: unknown matrix error model %q", c.models[j.mIdx])
 	}
-	n, first := applied()
-	active := n > 0 && first >= 0 && first < g.arrestMs
-	return matrixOutcome{Active: active, DetectedAt: detectionTimes(bank)}, nil
 }
 
 func (c *matrixCampaign) Reduce(plan []matrixJob, results []matrixOutcome) (*MatrixResult, error) {
 	res := &MatrixResult{Targets: c.names, Models: c.models}
 	cellIdx := make(map[[2]int]int)
+	sets := make([]map[string][]string, len(c.targets))
 	for ti, name := range c.names {
+		sets[ti] = setMembers(c.targets[ti])
 		for mi, m := range c.models {
 			cellIdx[[2]int{ti, mi}] = len(res.Cells)
 			cell := MatrixCell{Target: name, Model: m, PerSet: make(map[string]stats.Proportion)}
-			for set := range setMembers(c.targets[ti]) {
+			for set := range sets[ti] {
 				cell.PerSet[set] = stats.Proportion{}
 			}
 			res.Cells = append(res.Cells, cell)
@@ -235,16 +202,9 @@ func (c *matrixCampaign) Reduce(plan []matrixJob, results []matrixOutcome) (*Mat
 			continue
 		}
 		cell.Active++
-		for set, members := range setMembers(c.targets[j.tIdx]) {
-			hit := false
-			for _, ea := range members {
-				if _, ok := out.DetectedAt[ea]; ok {
-					hit = true
-					break
-				}
-			}
+		for set, members := range sets[j.tIdx] {
 			p := cell.PerSet[set]
-			p.Add(hit)
+			p.Add(firstDetection(members, out.DetectedAt) >= 0)
 			cell.PerSet[set] = p
 		}
 	}
@@ -256,7 +216,8 @@ func (c *matrixCampaign) ShardKey(j matrixJob, _ int) uint64 {
 }
 
 func (c *matrixCampaign) Describe(j matrixJob, index int) string {
-	return describeRun(c.targets[j.tIdx], c.topts[j.tIdx], "matrix", index, j.caseIdx) +
+	t, topts := c.targets[j.tIdx], c.topts[j.tIdx]
+	return describeRun(t, topts, t.RunSeed(topts.Seed, "matrix", index), j.caseIdx) +
 		" target=" + c.names[j.tIdx] + " model=" + c.models[j.mIdx]
 }
 
@@ -321,6 +282,11 @@ func newMatrixCampaign(ctx context.Context, opts Options, targetNames, models []
 		if err != nil {
 			return nil, err
 		}
+		eh, err := ehBank(t)
+		if err != nil {
+			return nil, err
+		}
+		c.eh = append(c.eh, eh)
 		c.targets = append(c.targets, t)
 		c.topts = append(c.topts, topts)
 		c.golds = append(c.golds, golds)

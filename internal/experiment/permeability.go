@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fi"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/sut"
 	"repro/internal/trace"
@@ -168,8 +167,24 @@ func (c *permeabilityCampaign) round(name string, st AdaptiveRound) (*roundCampa
 	}, nil
 }
 
+// Execute runs one permeability injection and evaluates direct output
+// deviations against the golden run. It simulates only the slots that
+// can change the outcome: the run resumes from the latest golden
+// checkpoint at or before the flip time, compares the watched signals
+// with the golden trace slot by slot, and stops as soon as the outcome
+// is fixed (permWatch).
 func (c *permeabilityCampaign) Execute(_ context.Context, j permJob, _ int) (permOutcome, error) {
-	return permeabilityRun(c.opts, c.t, c.golds[j.caseIdx], j.mod, j.port, j.sig, j.seq)
+	g := c.golds[j.caseIdx]
+	rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "perm", j.seq)))
+	sig, _ := c.sys.Signal(j.sig)
+	flip := drawFlip(rng, j.port, sig, c.t.InjectWindow(g.arrestMs))
+	w := &permWatch{g: g, mod: j.mod, sig: j.sig, flip: flip}
+	out, err := runInjection(caseRig(c.t, c.opts.Seed, g), mechanisms{watch: w},
+		injected(fi.NewInjector(flip)), whenDecided(flip.FromMs))
+	if err != nil {
+		return permOutcome{}, err
+	}
+	return w.outcome(out.Active), nil
 }
 
 func (c *permeabilityCampaign) Reduce(plan []permJob, results []permOutcome) (*PermeabilityResult, error) {
@@ -208,7 +223,7 @@ func (c *permeabilityCampaign) ShardKey(j permJob, _ int) uint64 {
 }
 
 func (c *permeabilityCampaign) Describe(j permJob, _ int) string {
-	return describeRun(c.t, c.opts, "perm", j.seq, j.caseIdx) + " signal=" + string(j.sig)
+	return describeRun(c.t, c.opts, c.t.RunSeed(c.opts.Seed, "perm", j.seq), j.caseIdx) + " signal=" + string(j.sig)
 }
 
 // EstimatePermeability runs the Section 5.3 campaign on the
@@ -309,54 +324,6 @@ func (r *PermeabilityResult) WriteSamples(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// permeabilityRun executes one injection run and evaluates direct output
-// deviations against the golden run. It simulates only the slots that
-// can change the outcome: the run starts from the latest golden
-// checkpoint at or before the flip time (everything earlier is the
-// golden run), compares the watched signals with the golden trace slot
-// by slot, and stops as soon as the outcome is fixed (permWatch).
-func permeabilityRun(opts Options, t sut.Target, g *golden, mod *model.ModuleDecl, port model.PortRef, sig model.SignalID, index int) (permOutcome, error) {
-	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "perm", index)))
-
-	rig, err := t.Acquire(g.tc, t.CaseSeed(opts.Seed, g.tc), sut.Variant{})
-	if err != nil {
-		return permOutcome{}, err
-	}
-	defer t.Release(rig)
-
-	flip := &fi.ReadFlip{
-		Port:   port,
-		Bit:    pickBit(rng, rig.System(), sig),
-		FromMs: rng.Int63n(t.InjectWindow(g.arrestMs)),
-	}
-	inj := fi.NewInjector(flip)
-	rig.Sched().OnPreSlot(inj.Hook)
-	rig.Bus().OnRead(inj.ReadHook())
-
-	var start int64
-	if cp := g.checkpointAt(flip.FromMs); cp != nil {
-		rig.Restore(cp)
-		start = cp.AtMs()
-	}
-	w := newPermWatch(rig, g, mod, sig, flip)
-	rig.Sched().OnPostSlot(w.hook)
-	if _, err := rig.Sched().RunUntil(w.decided, g.horizonMs-start); err != nil {
-		return permOutcome{}, err
-	}
-	if tel := obs.Active(); tel != nil {
-		end := rig.Sched().NowMs()
-		tel.SlotsFastForwarded.Add(start)
-		tel.SlotsSimulated.Add(end - start)
-		switch w.stop {
-		case stopDecided:
-			tel.SlotsDecided.Add(g.horizonMs - end)
-		case stopConverged:
-			tel.SlotsConverged.Add(g.horizonMs - end)
-		}
-	}
-	return w.outcome(), nil
-}
-
 // stopReason records why a permeability run ended before its horizon.
 type stopReason int
 
@@ -382,10 +349,12 @@ const (
 //     spent and every other hook only observes, so the rest of the run
 //     is the golden run and no signal deviates again.
 type permWatch struct {
+	g    *golden
+	mod  *model.ModuleDecl
+	sig  model.SignalID // the injected input
+	flip *fi.ReadFlip
+
 	rig   sut.Rig
-	g     *golden
-	mod   *model.ModuleDecl
-	flip  *fi.ReadFlip
 	idx   []int          // dense bus index per watched signal
 	gold  [][]model.Word // golden samples per watched signal
 	first []int          // first deviating sample per watched signal
@@ -396,27 +365,27 @@ type permWatch struct {
 	stop     stopReason
 }
 
-// newPermWatch watches the module's outputs plus its other pure inputs
-// (inputs that are neither the injected signal nor also outputs): the
-// cutoff signals of the direct-errors-only rule.
-func newPermWatch(rig sut.Rig, g *golden, mod *model.ModuleDecl, sig model.SignalID, flip *fi.ReadFlip) *permWatch {
-	w := &permWatch{rig: rig, g: g, mod: mod, flip: flip, outs: len(mod.Outputs)}
+// bind resolves the watch on the run's rig: it watches the module's
+// outputs plus its other pure inputs (inputs that are neither the
+// injected signal nor also outputs), the cutoff signals of the
+// direct-errors-only rule.
+func (w *permWatch) bind(rig sut.Rig) {
+	w.rig, w.outs = rig, len(w.mod.Outputs)
 	sys := rig.System()
 	watch := func(s model.SignalID) {
 		i, _ := sys.SignalIndex(s)
 		w.idx = append(w.idx, i)
-		w.gold = append(w.gold, g.trace.Samples(s))
+		w.gold = append(w.gold, w.g.trace.Samples(s))
 		w.first = append(w.first, trace.NoDifference)
 	}
-	for _, op := range mod.Outputs {
+	for _, op := range w.mod.Outputs {
 		watch(op.Signal)
 	}
-	for _, in := range mod.Inputs {
-		if in.Signal != sig && !writes(mod, in.Signal) {
+	for _, in := range w.mod.Inputs {
+		if in.Signal != w.sig && !writes(w.mod, in.Signal) {
 			watch(in.Signal)
 		}
 	}
-	return w
 }
 
 // writes reports whether s is one of the module's outputs.
@@ -459,15 +428,11 @@ func (w *permWatch) hook(nowMs int64) {
 func (w *permWatch) decided() bool { return w.stop != stopNone }
 
 // outcome applies the direct-errors-only rule to the recorded first
-// deviations: an output deviated directly if it deviated no later than
-// the earliest cutoff-input deviation.
-func (w *permWatch) outcome() permOutcome {
-	applied, at := w.flip.Applied()
-	out := permOutcome{
-		Active: applied && at < w.g.arrestMs,
-		Direct: make(map[int]bool, len(w.mod.Outputs)),
-	}
-	if !out.Active {
+// deviations of an active run: an output deviated directly if it
+// deviated no later than the earliest cutoff-input deviation.
+func (w *permWatch) outcome(active bool) permOutcome {
+	out := permOutcome{Active: active, Direct: make(map[int]bool, len(w.mod.Outputs))}
+	if !active {
 		return out
 	}
 	cutoff := -1

@@ -19,8 +19,8 @@ import (
 // permeabilityRunOracle evaluates one permeability run the plain way:
 // simulate the whole golden horizon from t=0, record the watched
 // signals, then compare each recorded column with the golden trace via
-// trace.FirstDifference. permeabilityRun must agree with it on every
-// run.
+// trace.FirstDifference. The checkpointed, early-stopping campaign
+// run (permeabilityCampaign.Execute) must agree with it on every run.
 func permeabilityRunOracle(opts Options, t sut.Target, g *golden, mod *model.ModuleDecl, port model.PortRef, sig model.SignalID, index int) (permOutcome, error) {
 	var out permOutcome
 	rng := rand.New(rand.NewSource(t.RunSeed(opts.Seed, "perm", index)))
@@ -31,11 +31,8 @@ func permeabilityRunOracle(opts Options, t sut.Target, g *golden, mod *model.Mod
 	}
 	defer t.Release(rig)
 
-	flip := &fi.ReadFlip{
-		Port:   port,
-		Bit:    pickBit(rng, rig.System(), sig),
-		FromMs: rng.Int63n(t.InjectWindow(g.arrestMs)),
-	}
+	s, _ := rig.System().Signal(sig)
+	flip := drawFlip(rng, port, s, t.InjectWindow(g.arrestMs))
 	inj := fi.NewInjector(flip)
 	rig.Sched().OnPreSlot(inj.Hook)
 	rig.Bus().OnRead(inj.ReadHook())
@@ -175,7 +172,7 @@ func TestGoldenCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := runGolden(opts, tgt, opts.Cases[0])
+			g, err := recordGolden(opts, tgt, opts.Cases[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +228,7 @@ func TestCheckpointMatchesGoldenRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := runGolden(opts, tgt, opts.Cases[1])
+	g, err := recordGolden(opts, tgt, opts.Cases[1])
 	if err != nil {
 		t.Fatal(err)
 	}

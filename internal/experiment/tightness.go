@@ -3,11 +3,9 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/ea"
-	"repro/internal/fi"
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/sut"
@@ -29,12 +27,13 @@ type TightnessPoint struct {
 	GoldenRuns, InjectedRuns int
 }
 
-// tightJob is one run of the tightness sweep: either a fault-free run
-// (golden) or injection k, under step setting stepIdx.
+// tightJob is one run of the tightness sweep under step setting
+// stepIdx: either a fault-free run (golden) or an injection drawn from
+// seed.
 type tightJob struct {
 	stepIdx int
 	caseIdx int
-	k       int
+	seed    int64
 	golden  bool
 }
 
@@ -69,7 +68,12 @@ func (c *tightnessCampaign) Plan() ([]tightJob, error) {
 		for ci := range c.opts.Cases {
 			plan = append(plan, tightJob{stepIdx: si, caseIdx: ci, golden: true})
 			for k := 0; k < perCase; k++ {
-				plan = append(plan, tightJob{stepIdx: si, caseIdx: ci, k: k})
+				// Identical injections across settings: the seed depends
+				// on the case and iteration only, so every budget is
+				// evaluated against the same error set and coverage is
+				// exactly monotone in the budget.
+				seed := c.t.RunSeed(c.opts.Seed, "tight", ci*1_000_000+k)
+				plan = append(plan, tightJob{stepIdx: si, caseIdx: ci, seed: seed})
 			}
 		}
 	}
@@ -94,41 +98,13 @@ func (c *tightnessCampaign) spec(maxStep model.Word) ea.Spec {
 
 func (c *tightnessCampaign) Execute(_ context.Context, j tightJob, _ int) (tightOutcome, error) {
 	g := c.golds[j.caseIdx]
-	rig, err := c.t.Acquire(g.tc, c.t.CaseSeed(c.opts.Seed, g.tc), sut.Variant{})
+	f := probeFlip(c.t, g, c.port, c.sig, j.seed, j.golden)
+	bank := []eaBank{{specs: []ea.Spec{c.spec(c.steps[j.stepIdx])}}}
+	out, err := runInjection(caseRig(c.t, c.opts.Seed, g), mechanisms{banks: bank}, f, atHorizon(g.horizonMs))
 	if err != nil {
 		return tightOutcome{}, err
 	}
-	defer c.t.Release(rig)
-	bank, err := ea.NewBank(rig.Bus(), c.t.ControlPeriodMs(), []ea.Spec{c.spec(c.steps[j.stepIdx])})
-	if err != nil {
-		return tightOutcome{}, err
-	}
-	rig.Sched().OnPostSlot(bank.Hook)
-
-	active := true
-	if !j.golden {
-		// Identical injections across settings: the seed depends on
-		// the case and iteration only, so every budget is evaluated
-		// against the same error set and coverage is exactly monotone
-		// in the budget.
-		rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "tight", j.caseIdx*1_000_000+j.k)))
-		flip := &fi.ReadFlip{
-			Port:   c.port,
-			Bit:    uint8(rng.Intn(int(c.sig.Type.Width))),
-			FromMs: rng.Int63n(c.t.InjectWindow(g.arrestMs)),
-		}
-		inj := fi.NewInjector(flip)
-		rig.Sched().OnPreSlot(inj.Hook)
-		rig.Bus().OnRead(inj.ReadHook())
-		if err := rig.RunFor(g.horizonMs); err != nil {
-			return tightOutcome{}, err
-		}
-		applied, at := flip.Applied()
-		active = applied && at < g.arrestMs
-	} else if err := rig.RunFor(g.horizonMs); err != nil {
-		return tightOutcome{}, err
-	}
-	return tightOutcome{Active: active, Detected: bank.Detected()}, nil
+	return tightOutcome{Active: out.Active, Detected: len(out.DetectedAt[0]) > 0}, nil
 }
 
 func (c *tightnessCampaign) Reduce(plan []tightJob, results []tightOutcome) ([]TightnessPoint, error) {
@@ -158,13 +134,8 @@ func (c *tightnessCampaign) ShardKey(j tightJob, _ int) uint64 {
 	return shardKeyFor(c.opts, c.opts.Cases[j.caseIdx])
 }
 
-func (c *tightnessCampaign) Describe(j tightJob, index int) string {
-	kind := "injected"
-	if j.golden {
-		kind = "golden"
-	}
-	return describeRun(c.t, c.opts, "tight", index, j.caseIdx) +
-		fmt.Sprintf(" step=%d %s", c.steps[j.stepIdx], kind)
+func (c *tightnessCampaign) Describe(j tightJob, _ int) string {
+	return describeProbeRun(c.t, c.opts, j.caseIdx, j.seed, j.golden) + fmt.Sprintf(" step=%d", c.steps[j.stepIdx])
 }
 
 // EATightnessStudy sweeps the pulscnt assertion's MaxStep and measures,

@@ -3,7 +3,9 @@ package fi
 import (
 	"fmt"
 
+	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
 
 // CorruptionKind selects an error model for read corruption. The paper
@@ -91,8 +93,8 @@ func (c Corruption) Validate(width uint8) error {
 	return nil
 }
 
-// CorruptionInjector drives one Corruption. Install Hook as a pre-slot
-// hook and ReadHook on the bus.
+// CorruptionInjector drives one Corruption. Attach installs Hook as a
+// pre-slot hook and ReadHook on the bus.
 type CorruptionInjector struct {
 	c     Corruption
 	nowMs int64
@@ -123,6 +125,12 @@ func NewCorruptionInjector(c Corruption, bus *model.Bus) (*CorruptionInjector, e
 
 // Hook maintains the injector clock; install as a pre-slot hook.
 func (ci *CorruptionInjector) Hook(nowMs int64) { ci.nowMs = nowMs }
+
+// Attach installs the clock hook and the read hook.
+func (ci *CorruptionInjector) Attach(s *sched.Scheduler, bus *model.Bus, _ *memmap.Map) {
+	s.OnPreSlot(ci.Hook)
+	bus.OnRead(ci.ReadHook())
+}
 
 // ReadHook returns the bus read hook realizing the corruption.
 func (ci *CorruptionInjector) ReadHook() model.ReadHook {

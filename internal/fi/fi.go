@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
 
 // ReadFlip is a one-shot transient bit-flip observed at a module input
@@ -56,8 +57,8 @@ func (f *ReadFlip) markApplied(now int64) {
 // Applied reports whether the flip was observed, and at what time.
 func (f *ReadFlip) Applied() (bool, int64) { return f.applied, f.appliedAt }
 
-// Injector drives one ReadFlip with time gating. Install Hook as a
-// pre-slot hook (it updates the clock the read hook consults) and
+// Injector drives one ReadFlip with time gating. Attach installs Hook
+// as a pre-slot hook (it updates the clock the read hook consults) and
 // ReadHook on the bus.
 type Injector struct {
 	flip  *ReadFlip
@@ -86,6 +87,21 @@ func (in *Injector) ReadHook() model.ReadHook {
 
 // Flip returns the driven flip.
 func (in *Injector) Flip() *ReadFlip { return in.flip }
+
+// Attach installs the clock hook and the read hook.
+func (in *Injector) Attach(s *sched.Scheduler, bus *model.Bus, _ *memmap.Map) {
+	s.OnPreSlot(in.Hook)
+	bus.OnRead(in.ReadHook())
+}
+
+// Applied reports whether the flip was observed (1 or 0 corruptions)
+// and when (-1 if never).
+func (in *Injector) Applied() (int, int64) {
+	if !in.flip.applied {
+		return 0, -1
+	}
+	return 1, in.flip.appliedAt
+}
 
 // TargetKind classifies a memory-injection target of the severe model.
 type TargetKind int
@@ -138,8 +154,8 @@ func (t MemTarget) Describe(mem *memmap.Map) string {
 
 // PeriodicInjector applies the severe model to one MemTarget: every
 // PeriodMs starting at FromMs it corrupts the target (or arms a stack
-// corruption). Install Hook as a pre-slot hook and, for stack targets,
-// MemHook on the memory map.
+// corruption). Attach installs Hook as a pre-slot hook and MemHook on
+// the memory map.
 type PeriodicInjector struct {
 	Target   MemTarget
 	PeriodMs int64
@@ -150,6 +166,7 @@ type PeriodicInjector struct {
 	nextMs   int64
 	armed    bool
 	injected int
+	firstMs  int64
 }
 
 // NewPeriodicInjector builds an injector over the run's bus and memory.
@@ -181,6 +198,7 @@ func NewPeriodicInjector(target MemTarget, periodMs, fromMs int64, bus *model.Bu
 		bus:      bus,
 		mem:      mem,
 		nextMs:   fromMs,
+		firstMs:  -1,
 	}, nil
 }
 
@@ -191,6 +209,9 @@ func (pi *PeriodicInjector) Hook(nowMs int64) {
 		return
 	}
 	pi.nextMs = nowMs + pi.PeriodMs
+	if pi.injected == 0 {
+		pi.firstMs = nowMs
+	}
 	pi.injected++
 	switch pi.Target.Kind {
 	case TargetRAMCell:
@@ -218,8 +239,15 @@ func (pi *PeriodicInjector) MemHook() memmap.ReadHook {
 	}
 }
 
-// Injections returns how many ticks fired.
-func (pi *PeriodicInjector) Injections() int { return pi.injected }
+// Attach installs the periodic hook and the stack read hook.
+func (pi *PeriodicInjector) Attach(s *sched.Scheduler, _ *model.Bus, mem *memmap.Map) {
+	s.OnPreSlot(pi.Hook)
+	mem.OnRead(pi.MemHook())
+}
+
+// Applied returns how many ticks fired and when the first one did (-1
+// if none).
+func (pi *PeriodicInjector) Applied() (int, int64) { return pi.injected, pi.firstMs }
 
 // EnumerateRAMTargets lists every (location, bit) of the RAM portion of
 // the severe model: all bits of module RAM cells plus all bits of the

@@ -102,8 +102,8 @@ func TestPeriodicInjectorRAMCell(t *testing.T) {
 	if got := v.Get(); got != 0 {
 		t.Errorf("after second tick = %d, want 0 (re-flip)", got)
 	}
-	if got := pi.Injections(); got != 2 {
-		t.Errorf("Injections() = %d, want 2", got)
+	if got, _ := pi.Applied(); got != 2 {
+		t.Errorf("Applied() = %d, want 2", got)
 	}
 }
 

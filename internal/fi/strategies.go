@@ -30,8 +30,8 @@ type StuckAt struct {
 	FromMs int64
 }
 
-// StuckAtInjector drives one StuckAt. Install Hook as a pre-slot hook
-// and, for stack targets, MemHook on the memory map.
+// StuckAtInjector drives one StuckAt. Attach installs Hook as a
+// pre-slot hook and MemHook on the memory map.
 type StuckAtInjector struct {
 	s    StuckAt
 	bus  *model.Bus
@@ -119,6 +119,12 @@ func (si *StuckAtInjector) MemHook() memmap.ReadHook {
 	}
 }
 
+// Attach installs the forcing hook and the stack read hook.
+func (si *StuckAtInjector) Attach(s *sched.Scheduler, _ *model.Bus, mem *memmap.Map) {
+	s.OnPreSlot(si.Hook)
+	mem.OnRead(si.MemHook())
+}
+
 // Applied returns how many corruptions landed (bit actually changed)
 // and when the first one happened (-1 if none).
 func (si *StuckAtInjector) Applied() (int, int64) { return si.applied, si.firstMs }
@@ -138,8 +144,8 @@ type BurstFlip struct {
 	FromMs int64
 }
 
-// BurstFlipInjector drives one BurstFlip. Install Hook as a pre-slot
-// hook and, for stack targets, MemHook on the memory map.
+// BurstFlipInjector drives one BurstFlip. Attach installs Hook as a
+// pre-slot hook and MemHook on the memory map.
 type BurstFlipInjector struct {
 	b    BurstFlip
 	bus  *model.Bus
@@ -213,6 +219,12 @@ func (bi *BurstFlipInjector) MemHook() memmap.ReadHook {
 	}
 }
 
+// Attach installs the burst hook and the stack read hook.
+func (bi *BurstFlipInjector) Attach(s *sched.Scheduler, _ *model.Bus, mem *memmap.Map) {
+	s.OnPreSlot(bi.Hook)
+	mem.OnRead(bi.MemHook())
+}
+
 // Applied returns whether the burst landed (1 or 0 corruptions) and
 // when (-1 if never).
 func (bi *BurstFlipInjector) Applied() (int, int64) { return bi.applied, bi.firstMs }
@@ -255,7 +267,7 @@ type SlotFault struct {
 }
 
 // SlotFaultInjector drives one SlotFault through the scheduler's step
-// filter seam. Install Filter with Scheduler.OnStep.
+// filter seam. Attach installs Filter with Scheduler.OnStep.
 type SlotFaultInjector struct {
 	f       SlotFault
 	applied int
@@ -294,6 +306,11 @@ func (sf *SlotFaultInjector) Filter() sched.StepFilter {
 		}
 		return sched.StepDefer
 	}
+}
+
+// Attach installs the step filter.
+func (sf *SlotFaultInjector) Attach(s *sched.Scheduler, _ *model.Bus, _ *memmap.Map) {
+	s.OnStep(sf.Filter())
 }
 
 // Applied returns how many scheduled steps were disturbed and when the
