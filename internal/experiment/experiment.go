@@ -245,9 +245,11 @@ type golden struct {
 // goldenCheckpointMs is the golden-run checkpoint cadence in scheduler
 // time. Permeability runs fast-forward to the latest checkpoint before
 // their flip and test convergence at checkpoint instants: a shorter
-// cadence skips more slots but holds more memory per golden (one
-// checkpoint is about 6 KB, mostly the plant's noise generator).
-const goldenCheckpointMs = 250
+// cadence skips more slots but holds more memory per golden. One
+// checkpoint is about 0.6 KB, since it saves the plant's noise position
+// as a mark (physics.Mark); the keyframes the marks share add one
+// generator copy (about 4.9 KB) per 1 024 noise draws.
+const goldenCheckpointMs = 50
 
 // checkpointAt returns the latest checkpoint at or before ms, or nil
 // when ms precedes the first one.

@@ -88,6 +88,7 @@ type matrixCampaign struct {
 	golds   [][]*golden
 	ports   []model.PortRef
 	sigs    []*model.Signal
+	ram     [][]fi.MemTarget // per target, the stuck model's candidate locations
 	eh      [][]eaBank
 }
 
@@ -133,8 +134,8 @@ func (c *matrixCampaign) fault(j matrixJob, rng *rand.Rand, window int64) fault 
 			return fi.NewInjector(drawFlip(rng, c.ports[j.tIdx], sig, window)), nil
 		}
 	case MatrixStuck:
+		tgts := c.ram[j.tIdx]
 		return func(rig sut.Rig) (injector, error) {
-			tgts := fi.EnumerateRAMTargets(rig.System(), rig.Mem())
 			if len(tgts) == 0 {
 				return nil, fmt.Errorf("experiment: target %s has no RAM cells to stick", t.Name())
 			}
@@ -282,10 +283,15 @@ func newMatrixCampaign(ctx context.Context, opts Options, targetNames, models []
 		if err != nil {
 			return nil, err
 		}
+		ram, _, err := memTargets(topts, t)
+		if err != nil {
+			return nil, err
+		}
 		eh, err := ehBank(t)
 		if err != nil {
 			return nil, err
 		}
+		c.ram = append(c.ram, ram)
 		c.eh = append(c.eh, eh)
 		c.targets = append(c.targets, t)
 		c.topts = append(c.topts, topts)

@@ -210,6 +210,32 @@ func TestGoldenCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// A golden run retains its checkpoints for the rest of the process, so
+// their state must stay small: at most 256 KB per default arrestment
+// case (saved words, plus the generator copies of the noise keyframes
+// the checkpoints share).
+func TestGoldenCheckpointMemory(t *testing.T) {
+	const limit = 256 << 10
+	opts := DefaultOptions(1)
+	tgt, err := resolvedTarget(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for _, tc := range opts.Cases {
+		g, err := recordGolden(opts, tgt, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sut.RetainedBytes(g.cps)
+		if n > limit {
+			t.Errorf("case %d: %d checkpoints retain %d bytes, want <= %d", tc.ID, len(g.cps), n, limit)
+		}
+		most = max(most, n)
+	}
+	t.Logf("largest golden checkpoint state: %d bytes", most)
+}
+
 func firstMismatch(a, b []model.Word) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {

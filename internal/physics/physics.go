@@ -153,9 +153,10 @@ func (pl *Plant) Params() Params { return pl.p }
 
 // Reset re-initializes the plant for a new scenario, reusing the
 // allocated noise generator. A reset plant is indistinguishable from
-// New(p): the generator is reseeded, so the noise sequence replays
-// exactly — the precondition for golden-run comparison across pooled
-// rigs.
+// New(p): the generator restarts p.Seed's sequence, so the noise
+// replays exactly — the precondition for golden-run comparison across
+// pooled rigs. Seeding is deferred to the first draw, so a reset
+// followed by Restore never seeds.
 func (pl *Plant) Reset(p Params) {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -164,25 +165,28 @@ func (pl *Plant) Reset(p Params) {
 	pl.noise.Seed(p.Seed)
 }
 
-// Snapshot is a saved copy of a plant's dynamic state, noise generator
-// included. It is immutable once taken and safe to restore from
-// concurrently.
+// Snapshot is a saved copy of a plant's dynamic state plus a mark of
+// its noise position. It is immutable once taken and safe to restore
+// from concurrently.
 type Snapshot struct {
 	state state
-	noise Noise
+	noise Mark
 }
+
+// Noise returns the snapshot's noise position.
+func (s *Snapshot) Noise() Mark { return s.noise }
 
 // Save returns a snapshot of the plant's dynamic state.
 func (pl *Plant) Save() *Snapshot {
-	return &Snapshot{state: pl.state, noise: pl.noise.Clone()}
+	return &Snapshot{state: pl.state, noise: pl.noise.Mark()}
 }
 
 // Restore puts the plant into a snapshot's state, noise generator
-// position included, in O(state) and without allocating. The
-// snapshot must come from a plant with the same Params.
+// position included, without allocating. The snapshot must come from
+// a plant with the same Params.
 func (pl *Plant) Restore(s *Snapshot) {
 	pl.state = s.state
-	pl.noise.CopyFrom(s.noise)
+	pl.noise.Seek(s.noise)
 }
 
 // Matches reports whether the plant's dynamic state equals the

@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -326,7 +327,7 @@ type State struct {
 // the following slot.
 func (s *Scheduler) Save(st *State) {
 	st.NowMs, st.Slot = s.clock()
-	st.Invoked = st.Invoked[:0]
+	st.Invoked = slices.Grow(st.Invoked[:0], len(s.counts))
 	for _, n := range s.counts {
 		st.Invoked = append(st.Invoked, *n)
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/erm"
 	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/physics"
 	"repro/internal/sched"
 )
 
@@ -116,6 +117,22 @@ type Checkpoint struct {
 
 // AtMs is the scheduler time the checkpoint stands for.
 func (cp *Checkpoint) AtMs() int64 { return cp.sched.NowMs }
+
+// RetainedBytes is the memory a set of checkpoints holds in saved
+// words and noise keyframes: eight bytes per bus, memory and invocation
+// word, plus one generator copy per keyframe their noise marks share.
+// The few plain fields of each environment are not counted.
+func RetainedBytes(cps []*Checkpoint) int {
+	n := 0
+	keyframes := make(map[*physics.Keyframe]bool)
+	for _, cp := range cps {
+		n += 8 * (len(cp.bus) + len(cp.mem) + len(cp.sched.Invoked))
+		if env, ok := cp.env.(interface{ Noise() physics.Mark }); ok {
+			keyframes[env.Noise().Keyframe()] = true
+		}
+	}
+	return n + len(keyframes)*physics.KeyframeBytes()
+}
 
 // saveRig checkpoints the state every rig shares, plus env.
 func saveRig(r Rig, env any) *Checkpoint {

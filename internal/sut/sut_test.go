@@ -109,6 +109,28 @@ func TestTargetContracts(t *testing.T) {
 	}
 }
 
+// Every target's System is the one shared description, and its rigs
+// run on it.
+func TestSystemIsShared(t *testing.T) {
+	for _, name := range Names() {
+		tgt, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tgt.System() != tgt.System() {
+			t.Errorf("%s: System() builds a new description per call", name)
+		}
+		rig, err := tgt.Acquire(tgt.DefaultCases()[0], 1, Variant{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rig.System() != tgt.System() {
+			t.Errorf("%s: a rig runs on its own copy of the system", name)
+		}
+		tgt.Release(rig)
+	}
+}
+
 // TestFaultFreeSilence acquires each library target, runs the full
 // assertion and wrapper banks over a fault-free horizon and requires
 // zero detections and zero recoveries — the no-false-positives

@@ -24,7 +24,7 @@ func init() {
 type tankTarget struct{}
 
 func (tankTarget) Name() string          { return "tank" }
-func (tankTarget) System() *model.System { return tank.NewSystem() }
+func (tankTarget) System() *model.System { return tank.SharedSystem() }
 
 func (tankTarget) DefaultCases() []Case {
 	tcs := tank.DefaultTestCases()
@@ -96,7 +96,7 @@ func (tankTarget) RunSeed(seed int64, campaign string, index int) int64 {
 func (tankTarget) InjectWindow(horizonMs int64) int64 { return horizonMs - 1000 }
 
 // tankRig wraps *tank.Rig behind the Rig seam. Tank rigs are not
-// pooled: each run builds a fresh system, as the deleted glue did.
+// pooled: each run builds a fresh rig over the shared system.
 type tankRig struct {
 	r *tank.Rig
 }

@@ -113,17 +113,20 @@ func NewPlant(p PlantParams) *Plant {
 	}
 }
 
-// Snapshot is a saved copy of a plant's dynamic state, noise generator
-// included. It is immutable once taken and safe to restore from
-// concurrently.
+// Snapshot is a saved copy of a plant's dynamic state plus a mark of
+// its noise position. It is immutable once taken and safe to restore
+// from concurrently.
 type Snapshot struct {
 	state state
-	noise physics.Noise
+	noise physics.Mark
 }
+
+// Noise returns the snapshot's noise position.
+func (s *Snapshot) Noise() physics.Mark { return s.noise }
 
 // Save returns a snapshot of the plant's dynamic state.
 func (pl *Plant) Save() *Snapshot {
-	return &Snapshot{state: pl.state, noise: pl.noise.Clone()}
+	return &Snapshot{state: pl.state, noise: pl.noise.Mark()}
 }
 
 // Restore puts the plant into a snapshot's state, noise generator
@@ -131,7 +134,7 @@ func (pl *Plant) Save() *Snapshot {
 // plant with the same parameters.
 func (pl *Plant) Restore(s *Snapshot) {
 	pl.state = s.state
-	pl.noise.CopyFrom(s.noise)
+	pl.noise.Seek(s.noise)
 }
 
 // Matches reports whether the plant's dynamic state equals the

@@ -80,7 +80,7 @@ func NewRig(cfg Config) (*Rig, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys := NewSystem()
+	sys := SharedSystem()
 	bus := model.NewBus(sys)
 	mem := &memmap.Map{}
 	plant := NewPlant(DefaultPlantParams(cfg.InflowBase, cfg.Seed))

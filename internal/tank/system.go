@@ -1,6 +1,8 @@
 package tank
 
 import (
+	"sync"
+
 	"repro/internal/memmap"
 	"repro/internal/model"
 )
@@ -32,6 +34,14 @@ const (
 	AlarmLow  model.Word = 1
 	AlarmHigh model.Word = 2
 )
+
+var sharedSystem = sync.OnceValue(NewSystem)
+
+// SharedSystem returns the process-wide tank system description. It is
+// built once: the description is configuration-independent and
+// immutable, and every System method is read-only, so all rigs and
+// campaigns share one instance.
+func SharedSystem() *model.System { return sharedSystem() }
 
 // NewSystem builds the static description: five modules, eight signals,
 // two system outputs with different criticalities — the multi-output
