@@ -204,8 +204,8 @@ func parseFactors(csv string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-sweep-factors: %q is not a number", field)
 		}
-		if f < 0 {
-			return nil, fmt.Errorf("-sweep-factors: factor %v is negative", f)
+		if core.CheckScaleFactor(f) != nil {
+			return nil, fmt.Errorf("-sweep-factors: factor %v is not finite and non-negative", f)
 		}
 		factors = append(factors, f)
 	}

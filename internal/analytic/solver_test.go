@@ -313,7 +313,9 @@ func TestUnknownSignalAndModuleErrors(t *testing.T) {
 	if _, err := Sweep(e, p, []model.ModuleID{"NOPE"}, []float64{0.5}, 1); err == nil {
 		t.Error("Sweep(unknown module) succeeded")
 	}
-	if _, err := Sweep(e, p, []model.ModuleID{"CALC"}, []float64{-1}, 1); err == nil {
-		t.Error("Sweep(negative factor) succeeded")
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Sweep(e, p, []model.ModuleID{"CALC"}, []float64{0.5, bad}, 1); err == nil {
+			t.Errorf("Sweep(factor %v) succeeded", bad)
+		}
 	}
 }

@@ -50,8 +50,8 @@ func Sweep(e *Engine, p *core.Permeability, modules []model.ModuleID, factors []
 		}
 	}
 	for _, f := range factors {
-		if f < 0 {
-			return nil, fmt.Errorf("analytic: negative scale factor %v", f)
+		if err := core.CheckScaleFactor(f); err != nil {
+			return nil, err
 		}
 	}
 	if workers < 1 {

@@ -64,15 +64,16 @@ type Planned interface {
 }
 
 // Execute runs a campaign end to end: plan, execute every run on the
-// executor, reduce. A nil executor defaults to Serial. When col is
-// non-nil the engine observes the campaign's run count and wall-clock
-// time into it (the engine-level timing hook behind BENCH_campaigns
-// reports). Errors and panics from individual runs abort the campaign
-// and are decorated with the failing run's index and description.
+// executor, reduce. A nil executor defaults to the serial reference,
+// Sharded{Workers: 1, Shards: 1}. When col is non-nil the engine
+// observes the campaign's run count and wall-clock time into it (the
+// engine-level timing hook behind BENCH_campaigns reports). Errors and
+// panics from individual runs abort the campaign and are decorated
+// with the failing run's index and description.
 func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, Out], ex Executor, col *Collector) (Out, error) {
 	var zero Out
 	if ex == nil {
-		ex = Serial{}
+		ex = Sharded{Workers: 1, Shards: 1}
 	}
 	// Telemetry is strictly observational: every instrument below is
 	// nil-safe, results never depend on telemetry state, and with no
@@ -123,7 +124,7 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 		return nil
 	}
 
-	// Retry/redispatch deltas bracket the execution so the collector's
+	// Redispatch deltas bracket the execution so the collector's
 	// row reports only this campaign's movement even when several
 	// campaigns share one process-wide telemetry.
 	var runsDone *obs.Counter

@@ -60,7 +60,6 @@ func (s *squares) Describe(run, index int) string {
 
 func executors() []Executor {
 	return []Executor{
-		Serial{},
 		Sharded{Workers: 1, Shards: 1},
 		Sharded{Workers: 2, Shards: 2},
 		Sharded{Workers: 8, Shards: 8},
@@ -158,6 +157,30 @@ func TestPanicBecomesDiagnosticError(t *testing.T) {
 	}
 }
 
+func TestPanicErrorUnwrapsErrorValues(t *testing.T) {
+	cause := errors.New("panicked cause")
+	for _, ex := range executors() {
+		c := &squares{n: 5, fail: func(i int) error {
+			if i == 2 {
+				panic(cause)
+			}
+			return nil
+		}}
+		_, err := Execute[int, int, int](context.Background(), c, ex, nil)
+		if !errors.Is(err, cause) {
+			t.Errorf("%s: engine diagnostic does not unwrap to the panicked error: %v", ex.Name(), err)
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: no PanicError in %v", ex.Name(), err)
+		}
+	}
+	// Non-error panic values have no cause.
+	if (&PanicError{Value: "not an error"}).Unwrap() != nil {
+		t.Error("string panic value should not unwrap")
+	}
+}
+
 func TestRunErrorCarriesDescription(t *testing.T) {
 	boom := errors.New("boom")
 	c := &squares{n: 5, fail: func(i int) error {
@@ -166,7 +189,7 @@ func TestRunErrorCarriesDescription(t *testing.T) {
 		}
 		return nil
 	}}
-	_, err := Execute[int, int, int](context.Background(), c, Serial{}, nil)
+	_, err := Execute[int, int, int](context.Background(), c, Sharded{Workers: 1, Shards: 1}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error %v does not wrap the run error", err)
 	}
@@ -217,7 +240,7 @@ func TestPreCancelledContextRunsNothing(t *testing.T) {
 
 func TestPlanErrorAborts(t *testing.T) {
 	planErr := errors.New("no plan")
-	_, err := Execute[int, int, int](context.Background(), &squares{planErr: planErr}, Serial{}, nil)
+	_, err := Execute[int, int, int](context.Background(), &squares{planErr: planErr}, Sharded{Workers: 1, Shards: 1}, nil)
 	if !errors.Is(err, planErr) {
 		t.Fatalf("err = %v, want plan error", err)
 	}
@@ -225,7 +248,7 @@ func TestPlanErrorAborts(t *testing.T) {
 
 func TestCollectorObservesThroughEngine(t *testing.T) {
 	col := &Collector{}
-	if _, err := Execute[int, int, int](context.Background(), &squares{n: 42}, Serial{}, col); err != nil {
+	if _, err := Execute[int, int, int](context.Background(), &squares{n: 42}, Sharded{Workers: 1, Shards: 1}, col); err != nil {
 		t.Fatal(err)
 	}
 	rows := col.Rows()
@@ -275,7 +298,8 @@ func TestWriteBenchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNilExecutorDefaultsToSerial pins the engine's fallback.
+// TestNilExecutorDefaultsToSerial pins the engine's fallback: the
+// one-shard sharded executor.
 func TestNilExecutorDefaultsToSerial(t *testing.T) {
 	got, err := Execute[int, int, int](context.Background(), &squares{n: 4}, nil, nil)
 	if err != nil {

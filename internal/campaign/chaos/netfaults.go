@@ -1,3 +1,7 @@
+// Package chaos injects deterministic network faults into the fleet
+// transport through NetFaults, a dnet.Tap. Tests put it on worker
+// agents or on a coordinator to pin that the dispatch coordinator's
+// recovery never changes campaign output.
 package chaos
 
 import (
@@ -9,6 +13,22 @@ import (
 
 	dnet "repro/internal/campaign/dispatch/net"
 	"repro/internal/obs"
+)
+
+// Fault names one injected failure kind.
+type Fault string
+
+const (
+	// FaultNone leaves the frame alone.
+	FaultNone Fault = "none"
+	// FaultDrop loses the frame.
+	FaultDrop Fault = "drop"
+	// FaultCorrupt flips bits in the frame body.
+	FaultCorrupt Fault = "corrupt"
+	// FaultReset closes the connection mid-frame.
+	FaultReset Fault = "reset"
+	// FaultDelay stalls the frame before delivery.
+	FaultDelay Fault = "delay"
 )
 
 // NetFaults is a dnet.Tap that injects deterministic network faults
@@ -85,15 +105,17 @@ func (nf *NetFaults) Frame(dir dnet.Direction, ordinal uint64) dnet.Action {
 		return dnet.Action{Drop: true}
 	case FaultCorrupt:
 		return dnet.Action{Corrupt: true}
-	case FaultError: // reset band
+	case FaultReset:
 		return dnet.Action{Reset: true}
 	default: // FaultDelay
 		return dnet.Action{Delay: nf.Delay}
 	}
 }
 
-// decide maps (Seed, direction, ordinal) onto a fault kind with the
-// same FNV-1a + avalanche draw the run-level chaos wrapper uses.
+// decide maps (Seed, direction, ordinal) onto a fault kind: FNV-1a
+// over the three values, finished with a 64-bit avalanche mix (FNV's
+// high bits barely respond to trailing bytes) before the top 53 bits
+// become a uniform draw in [0, 1).
 func (nf *NetFaults) decide(dir dnet.Direction, ordinal uint64) Fault {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -116,7 +138,7 @@ func (nf *NetFaults) decide(dir dnet.Direction, ordinal uint64) Fault {
 	}{
 		{nf.DropRate, FaultDrop},
 		{nf.CorruptRate, FaultCorrupt},
-		{nf.ResetRate, FaultError},
+		{nf.ResetRate, FaultReset},
 		{nf.DelayRate, FaultDelay},
 	} {
 		if u < band.rate {

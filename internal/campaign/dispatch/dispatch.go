@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"strconv"
 	"sync"
@@ -74,11 +75,10 @@ type Subprocess struct {
 	// DefaultShardTimeout).
 	ShardTimeout time.Duration
 	// Retries is how many times a failed shard is re-dispatched after
-	// its first attempt (0 selects campaign.DefaultAttempts-1; negative
-	// disables retries).
+	// its first attempt (0 selects 2; negative disables retries).
 	Retries int
 	// BackoffBase and BackoffCap shape the retry backoff (zero selects
-	// the campaign package defaults).
+	// 2 ms and 250 ms).
 	BackoffBase, BackoffCap time.Duration
 	// Seed feeds the deterministic backoff jitter.
 	Seed int64
@@ -129,8 +129,8 @@ func (s *Subprocess) coordinator() *coordinator {
 // fleet of networked worker agents (ServeNet / DialAndServe peers).
 // The partition, wire frames, integrity checks and checkpoint journal
 // are exactly the subprocess dispatcher's, so output stays
-// byte-identical to Serial and a journal written under one transport
-// resumes under the other.
+// byte-identical to the serial run and a journal written under one
+// transport resumes under the other.
 //
 // Its connector list is dial-out (Addrs) and accept-in (Listen), then
 // spawn (Fallback's Command), then in-process execution. On top of the
@@ -180,11 +180,10 @@ type Fleet struct {
 	// shard deadline; negative disables straggler re-dispatch).
 	StragglerAfter time.Duration
 	// Retries is how many times a failed shard is re-dispatched after
-	// its first attempt (0 selects campaign.DefaultAttempts-1;
-	// negative disables retries).
+	// its first attempt (0 selects 2; negative disables retries).
 	Retries int
 	// BackoffBase and BackoffCap shape retry and reconnect backoff
-	// (zero selects the campaign package defaults).
+	// (zero selects 2 ms and 250 ms).
 	BackoffBase, BackoffCap time.Duration
 	// Seed feeds the deterministic backoff jitter.
 	Seed int64
@@ -313,10 +312,48 @@ func (co *coordinator) attempts() int {
 	case co.sched.Retries < 0:
 		return 1
 	case co.sched.Retries == 0:
-		return campaign.DefaultAttempts
+		return defaultAttempts
 	default:
 		return co.sched.Retries + 1
 	}
+}
+
+// Retry defaults shared by shard re-dispatch, fleet reconnects and
+// agent re-registration.
+const (
+	// defaultAttempts is how many times a shard is tried in total when
+	// Retries is zero.
+	defaultAttempts = 3
+	// defaultBackoffBase is the first retry delay when unset.
+	defaultBackoffBase = 2 * time.Millisecond
+	// defaultBackoffCap bounds the exponential backoff when unset.
+	defaultBackoffCap = 250 * time.Millisecond
+)
+
+// backoffDelay returns the sleep before retry attempt `attempt`
+// (1-based: the delay taken after the attempt-1 failure): capped
+// exponential backoff plus deterministic jitter. The jitter is a pure
+// function of (seed, key, attempt) — never of wall clock or scheduling
+// — so a retried campaign backs off identically on every replay, which
+// keeps fault-tolerance tests reproducible.
+func backoffDelay(base, cap time.Duration, seed int64, key uint64, attempt int) time.Duration {
+	if base <= 0 {
+		base = defaultBackoffBase
+	}
+	if cap <= 0 {
+		cap = defaultBackoffCap
+	}
+	d := base
+	for i := 1; i < attempt && d < cap; i++ {
+		d *= 2
+	}
+	if d > cap {
+		d = cap
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%d|%d", seed, key, attempt)
+	jitter := time.Duration(h.Sum64() % uint64(base))
+	return d + jitter
 }
 
 // logMu serializes diagnostics from every coordinator, so concurrent
@@ -620,7 +657,7 @@ func (co *coordinator) runShard(ctx context.Context, job campaign.PayloadJob, t 
 		if attempt == attempts {
 			break
 		}
-		d := campaign.BackoffDelay(co.sched.BackoffBase, co.sched.BackoffCap, co.sched.Seed, t.id, attempt)
+		d := backoffDelay(co.sched.BackoffBase, co.sched.BackoffCap, co.sched.Seed, t.id, attempt)
 		// The retryable classification (with the error) is logged on the
 		// shard's first failure only; later attempts log the bare retry
 		// so a flapping shard cannot flood the log.
@@ -634,6 +671,7 @@ func (co *coordinator) runShard(ctx context.Context, job campaign.PayloadJob, t 
 		if tel != nil {
 			tel.DispatchRetries.Inc()
 			tel.Progress.Retry()
+			tel.Live.Retry()
 			tel.Live.UpdateShard(obs.ShardStatus{
 				ID: hex64(t.id), State: "retrying",
 				Runs: len(t.indices), Attempts: attempt,

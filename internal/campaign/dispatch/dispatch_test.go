@@ -198,7 +198,7 @@ func subproc(t *testing.T, n int, extraEnv ...string) *Subprocess {
 
 func serialBaseline(t *testing.T, n int) string {
 	t.Helper()
-	out, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), campaign.Serial{}, nil)
+	out, err := campaign.Execute[int, int, string](context.Background(), newCubes(n), campaign.Sharded{Workers: 1, Shards: 1}, nil)
 	if err != nil {
 		t.Fatalf("serial baseline: %v", err)
 	}
@@ -405,5 +405,37 @@ func TestSubprocessCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
+	}
+}
+
+func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
+	base, cap := 10*time.Millisecond, 80*time.Millisecond
+	var prev []time.Duration
+	for trial := 0; trial < 2; trial++ {
+		var ds []time.Duration
+		for attempt := 1; attempt <= 6; attempt++ {
+			ds = append(ds, backoffDelay(base, cap, 42, 0xfeed, attempt))
+		}
+		if trial == 1 {
+			for i := range ds {
+				if ds[i] != prev[i] {
+					t.Fatalf("backoff not deterministic: %v vs %v", ds, prev)
+				}
+			}
+		}
+		prev = ds
+	}
+	for attempt, d := range prev {
+		if d < base || d >= cap+base {
+			t.Errorf("attempt %d: delay %v outside [base, cap+jitter)", attempt+1, d)
+		}
+	}
+	if prev[0] >= prev[3] {
+		t.Errorf("backoff does not grow: %v", prev)
+	}
+	// Different keys draw different jitter.
+	if backoffDelay(base, cap, 42, 1, 1) == backoffDelay(base, cap, 42, 2, 1) &&
+		backoffDelay(base, cap, 42, 1, 2) == backoffDelay(base, cap, 42, 2, 2) {
+		t.Error("jitter does not depend on the key")
 	}
 }

@@ -227,8 +227,8 @@ func TestSubprocessShardTimeoutDefaults(t *testing.T) {
 	if s.shardTimeout() != DefaultShardTimeout {
 		t.Errorf("shardTimeout = %v, want %v", s.shardTimeout(), DefaultShardTimeout)
 	}
-	if s.attempts() != campaign.DefaultAttempts {
-		t.Errorf("attempts = %d, want %d", s.attempts(), campaign.DefaultAttempts)
+	if s.attempts() != defaultAttempts {
+		t.Errorf("attempts = %d, want %d", s.attempts(), defaultAttempts)
 	}
 	if (&Subprocess{Retries: -1}).attempts() != 1 {
 		t.Error("negative Retries should disable retrying")

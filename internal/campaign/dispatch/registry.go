@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/campaign"
 	dnet "repro/internal/campaign/dispatch/net"
 	"repro/internal/obs"
 )
@@ -402,7 +401,7 @@ func (r *registry) keep(ctx context.Context, o opener, c *conn) {
 					r.logf("worker %s unavailable (%v); retrying with backoff", o, err)
 				}
 				select {
-				case <-time.After(campaign.BackoffDelay(r.co.sched.BackoffBase, r.co.sched.BackoffCap, r.co.sched.Seed, fnvString(o.String()), fails)):
+				case <-time.After(backoffDelay(r.co.sched.BackoffBase, r.co.sched.BackoffCap, r.co.sched.Seed, fnvString(o.String()), fails)):
 				case <-ctx.Done():
 					return
 				}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/campaign"
 	dnet "repro/internal/campaign/dispatch/net"
 	"repro/internal/obs"
 )
@@ -42,7 +41,7 @@ type NetServeOptions struct {
 	// (ServeNet only) — tests listen on ":0" and need the port.
 	Ready func(addr net.Addr)
 	// ReconnectBase and ReconnectCap shape DialAndServe's capped
-	// reconnect backoff (zero selects the campaign package defaults).
+	// reconnect backoff (zero selects 2 ms and 250 ms).
 	ReconnectBase, ReconnectCap time.Duration
 }
 
@@ -110,7 +109,7 @@ func DialAndServe(ctx context.Context, addr string, factory LookupFactory, o Net
 		if fails++; fails == 1 {
 			o.logf("worker agent: cannot reach coordinator %s (%v); retrying with backoff", addr, err)
 		}
-		d := campaign.BackoffDelay(o.ReconnectBase, o.ReconnectCap, seed, 0, fails)
+		d := backoffDelay(o.ReconnectBase, o.ReconnectCap, seed, 0, fails)
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():

@@ -59,54 +59,6 @@ func call(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// Serial executes the plan in index order on the calling goroutine.
-// It is the reference semantics every other executor must reproduce
-// byte-for-byte.
-type Serial struct{}
-
-func (Serial) Name() string { return "serial" }
-
-func (Serial) Run(ctx context.Context, n int, _ []uint64, fn func(i int) error) error {
-	// Serial is one shard covering the whole plan: the shard telemetry
-	// below keeps progress and bench percentiles meaningful in -workers 1
-	// mode without changing execution in any way.
-	tel := obs.Active()
-	var start time.Time
-	var sp *obs.Span
-	if tel != nil && n > 0 {
-		tel.ShardsPlanned.Inc()
-		tel.Progress.SetShards(1)
-		tel.Live.SetShards(1)
-		sp = obs.SpanFromContext(ctx).Child("shard", map[string]string{
-			"shard": "0", "runs": strconv.Itoa(n),
-		})
-		start = time.Now()
-	}
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return err
-		}
-		if err := call(fn, i); err != nil {
-			sp.End()
-			return err
-		}
-	}
-	if tel != nil && n > 0 {
-		sp.End()
-		wall := time.Since(start)
-		tel.ShardDur.Observe(wall.Seconds())
-		tel.ShardsDone.Inc()
-		tel.Progress.ShardDone()
-		tel.Live.ShardDone()
-		tel.Live.UpdateShard(obs.ShardStatus{
-			ID: "0", Worker: "local", State: "done", Runs: n,
-			WallMs: wall.Milliseconds(), ExecMs: wall.Milliseconds(),
-		})
-	}
-	return nil
-}
-
 // DefaultShards is the shard count a Sharded executor with Shards == 0
 // uses. It is a fixed constant — deliberately not derived from Workers
 // or GOMAXPROCS — so the plan→shard partition of a campaign is stable
@@ -119,7 +71,8 @@ const DefaultShards = 16
 // depends only on the plan and the shard count — never on Workers —
 // and a shard is a self-contained unit that could be dispatched to a
 // remote worker without changing any result. Within a shard, runs
-// execute in ascending plan order.
+// execute in ascending plan order, so Sharded{Workers: 1, Shards: 1}
+// is the serial reference every executor must reproduce byte-for-byte.
 type Sharded struct {
 	// Workers bounds how many shards execute concurrently (>= 1).
 	Workers int

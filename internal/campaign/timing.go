@@ -12,7 +12,7 @@ import (
 
 // Timing is one row of the BENCH_campaigns.json report: how many runs
 // a campaign executed, how long it took, and the throughput. The
-// telemetry-derived fields (retries, redispatches, shard latency
+// telemetry-derived fields (shard re-dispatches, shard latency
 // percentiles) are omitted when zero, so reports from telemetry-free
 // runs keep the original schema exactly.
 type Timing struct {
@@ -27,9 +27,6 @@ type Timing struct {
 	RunsPlanned  int `json:"runs_planned"`
 	RunsExecuted int `json:"runs_executed"`
 	RunsSaved    int `json:"runs_saved"`
-	// RunRetries counts run re-attempts by the Retry executor during
-	// this campaign.
-	RunRetries int64 `json:"run_retries,omitempty"`
 	// ShardRetries counts shard re-dispatches by the subprocess
 	// dispatcher during this campaign.
 	ShardRetries int64 `json:"shard_retries,omitempty"`
@@ -63,7 +60,6 @@ type Timing struct {
 
 // Extras carries the telemetry-derived additions to a timing row.
 type Extras struct {
-	RunRetries            int64
 	ShardRetries          int64
 	FleetReconnects       int64
 	StragglerRedispatches int64
@@ -85,7 +81,7 @@ type Extras struct {
 // share one process-wide telemetry.
 type TelemetryMark struct {
 	tel                                      *obs.Telemetry
-	runRetries, shardRetries                 int64
+	shardRetries                             int64
 	reconnects, stragglers                   int64
 	simulated, forwarded, decided, converged int64
 	shard                                    []int64
@@ -96,7 +92,6 @@ type TelemetryMark struct {
 func MarkTelemetry(tel *obs.Telemetry) TelemetryMark {
 	m := TelemetryMark{tel: tel}
 	if tel != nil {
-		m.runRetries = tel.RunRetries.Value()
 		m.shardRetries = tel.DispatchRetries.Value()
 		m.reconnects = tel.FleetReconnects.Value()
 		m.stragglers = tel.FleetStragglers.Value()
@@ -116,7 +111,6 @@ func (m TelemetryMark) Fill(ext *Extras) {
 	if tel == nil {
 		return
 	}
-	ext.RunRetries = tel.RunRetries.Value() - m.runRetries
 	ext.ShardRetries = tel.DispatchRetries.Value() - m.shardRetries
 	ext.FleetReconnects = tel.FleetReconnects.Value() - m.reconnects
 	ext.StragglerRedispatches = tel.FleetStragglers.Value() - m.stragglers
@@ -171,7 +165,6 @@ func (c *Collector) Observe(campaign string, runs int, wall time.Duration) {
 // ObserveExt appends one campaign's timing row with telemetry extras.
 func (c *Collector) ObserveExt(campaign string, runs int, wall time.Duration, ext Extras) {
 	row := NewTiming(campaign, runs, wall)
-	row.RunRetries = ext.RunRetries
 	row.ShardRetries = ext.ShardRetries
 	row.FleetReconnects = ext.FleetReconnects
 	row.StragglerRedispatches = ext.StragglerRedispatches

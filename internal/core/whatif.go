@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 )
@@ -15,6 +16,16 @@ func (p *Permeability) Clone() *Permeability {
 	return cp
 }
 
+// CheckScaleFactor rejects a factor that cannot scale permeabilities:
+// negative, NaN or infinite (0 × Inf is NaN, so an infinite factor
+// would poison every zero-permeability pair).
+func CheckScaleFactor(factor float64) error {
+	if factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return fmt.Errorf("core: scale factor %v must be finite and non-negative", factor)
+	}
+	return nil
+}
+
 // ScaleModule returns a copy of the matrix with every input/output pair
 // of the module scaled by factor (clamped to [0, 1]) — the what-if of
 // adding containment to a module (factor < 1, e.g. a wrapper that masks
@@ -22,8 +33,8 @@ func (p *Permeability) Clone() *Permeability {
 // (factor > 1). Use with CheckConformance to iterate on Section 9's
 // process: find the violated condition, strengthen a module, re-profile.
 func (p *Permeability) ScaleModule(mod model.ModuleID, factor float64) (*Permeability, error) {
-	if factor < 0 {
-		return nil, fmt.Errorf("core: negative scale factor %v", factor)
+	if err := CheckScaleFactor(factor); err != nil {
+		return nil, err
 	}
 	m, ok := p.sys.Module(mod)
 	if !ok {
@@ -46,8 +57,8 @@ func (p *Permeability) ScaleModule(mod model.ModuleID, factor float64) (*Permeab
 // ScaleEdge returns a copy with one pair scaled — the what-if of
 // guarding a single signal path.
 func (p *Permeability) ScaleEdge(mod model.ModuleID, in, out int, factor float64) (*Permeability, error) {
-	if factor < 0 {
-		return nil, fmt.Errorf("core: negative scale factor %v", factor)
+	if err := CheckScaleFactor(factor); err != nil {
+		return nil, err
 	}
 	e, err := p.edge(mod, in, out)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -56,8 +57,10 @@ func TestScaleModule(t *testing.T) {
 	if _, err := p.ScaleModule("Z", 0.5); err == nil {
 		t.Error("unknown module accepted")
 	}
-	if _, err := p.ScaleModule("A", -1); err == nil {
-		t.Error("negative factor accepted")
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := p.ScaleModule("A", bad); err == nil {
+			t.Errorf("factor %v accepted", bad)
+		}
 	}
 }
 
@@ -79,6 +82,11 @@ func TestScaleEdge(t *testing.T) {
 	}
 	if _, err := p.ScaleEdge("A", 9, 1, 0.5); err == nil {
 		t.Error("bad port accepted")
+	}
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := p.ScaleEdge("A", 1, 1, bad); err == nil {
+			t.Errorf("factor %v accepted", bad)
+		}
 	}
 }
 

@@ -7,10 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/campaign"
-	"repro/internal/campaign/chaos"
 )
 
 // adaptiveOpts is determinismOpts with the adaptive layer switched on
@@ -116,62 +112,68 @@ func TestAdaptivePermeabilityStopsEarly(t *testing.T) {
 	}
 }
 
+// stoppingPermOpts switches on the adaptive layer with an early
+// stopping rule loose enough to fire at test sizes.
+func stoppingPermOpts(opts Options) Options {
+	opts.Adaptive = true
+	opts.StopHalfWidth = 0.25
+	opts.StopMinTrials = 20
+	return opts
+}
+
+// adaptivePermFingerprint runs the 24-per-input permeability campaign
+// under opts and renders the result with its planned volume.
+func adaptivePermFingerprint(t *testing.T, name string, opts Options) string {
+	t.Helper()
+	ClearGoldenCache()
+	res, err := EstimatePermeability(context.Background(), opts, 24)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return permeabilityFingerprint(t, res) + fmt.Sprintf("planned=%d", res.PlannedRuns)
+}
+
 // TestAdaptivePermeabilityDeterministicAcrossExecutors asserts the
 // composition requirement: rounds are ordinary campaigns, so serial,
-// sharded, chaos-wrapped and subprocess execution of an adaptive
-// campaign — early stopping active — produce byte-identical results.
+// sharded and subprocess execution of an adaptive campaign — early
+// stopping active — produce byte-identical results.
 func TestAdaptivePermeabilityDeterministicAcrossExecutors(t *testing.T) {
-	run := func(name string, opts Options) string {
-		t.Helper()
-		ClearGoldenCache()
-		res, err := EstimatePermeability(context.Background(), opts, 24)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return permeabilityFingerprint(t, res) +
-			fmt.Sprintf("planned=%d", res.PlannedRuns)
-	}
-	stopping := func(opts Options) Options {
-		opts.Adaptive = true
-		opts.StopHalfWidth = 0.25
-		opts.StopMinTrials = 20
-		return opts
-	}
-
-	ref := run("serial", stopping(determinismOpts(1)))
+	ref := adaptivePermFingerprint(t, "serial", stoppingPermOpts(determinismOpts(1)))
 
 	for _, shards := range []int{1, 2, 8} {
-		opts := stopping(determinismOpts(4))
+		opts := stoppingPermOpts(determinismOpts(4))
 		opts.Shards = shards
-		if fp := run(fmt.Sprintf("sharded-%d", shards), opts); fp != ref {
+		if fp := adaptivePermFingerprint(t, fmt.Sprintf("sharded-%d", shards), opts); fp != ref {
 			t.Errorf("sharded-%d adaptive output differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
 				shards, ref, fp)
 		}
 	}
 
-	chaosOpts := stopping(determinismOpts(4))
-	chaosOpts.Shards = 8
-	chaosOpts.execOverride = chaos.Chaos{
-		Inner: campaign.Retry{
-			Inner:       campaign.Sharded{Workers: 4, Shards: 8},
-			Attempts:    4,
-			BackoffBase: time.Millisecond,
-			BackoffCap:  4 * time.Millisecond,
-		},
-		Seed:      99,
-		PanicRate: 0.05, ErrorRate: 0.05, DelayRate: 0.05, DropRate: 0.05,
-	}
-	if fp := run("chaos+retry", chaosOpts); fp != ref {
-		t.Errorf("chaos adaptive output differs from serial:\n--- serial ---\n%s\n--- chaos ---\n%s", ref, fp)
-	}
-
 	var log syncLog
 	subOpts := subprocessOpts(t, 2, 4, WorkerSpec{PerInput: 24}, "", &log)
-	subOpts = stopping(subOpts)
-	if fp := run("subprocess", subOpts); fp != ref {
+	subOpts = stoppingPermOpts(subOpts)
+	if fp := adaptivePermFingerprint(t, "subprocess", subOpts); fp != ref {
 		t.Errorf("subprocess adaptive output differs from serial:\n--- serial ---\n%s\n--- subprocess ---\n%s\nlog:\n%s",
 			ref, fp, log.String())
 	}
+}
+
+// TestAdaptivePermeabilityChaosFleetMatchesSerial runs the adaptive
+// permeability campaign — early stopping active, every round its own
+// fleet handshake — on agents that corrupt and reset frames. The
+// coordinator's shard re-dispatch must heal every fault, leaving the
+// output byte-identical to the Workers: 1 run.
+func TestAdaptivePermeabilityChaosFleetMatchesSerial(t *testing.T) {
+	ref := adaptivePermFingerprint(t, "serial", stoppingPermOpts(determinismOpts(1)))
+
+	var log syncLog
+	tap := netChaos(99, 4)
+	opts := chaosFleetOpts(t, stoppingPermOpts(determinismOpts(4)), WorkerSpec{PerInput: 24}, tap, &log)
+	if fp := adaptivePermFingerprint(t, "chaos fleet", opts); fp != ref {
+		t.Errorf("chaos fleet adaptive output differs from serial:\n--- serial ---\n%s\n--- chaos ---\n%s\nlog:\n%s",
+			ref, fp, log.String())
+	}
+	checkChaosHealed(t, "adaptive", tap, log.String())
 }
 
 // TestAdaptiveInternalCoverageMatchesExactWithStoppingDisabled pins the

@@ -120,11 +120,6 @@ type Options struct {
 	// StopMinTrials is the floor below which the stopping rule never
 	// fires (0 selects the 100 default; negative means no floor).
 	StopMinTrials int
-
-	// execOverride, when non-nil, replaces the selected executor. Tests
-	// use it to compose fault-injecting wrappers (campaign/chaos) around
-	// the engine; being unexported it never crosses the wire to workers.
-	execOverride campaign.Executor
 }
 
 // DefaultOptions returns the full-size campaign configuration for the
@@ -188,12 +183,10 @@ func (o Options) Validate() error {
 }
 
 // executor returns the executor the options select: the subprocess
-// dispatcher when Dispatch is configured, serial for a single worker,
-// the sharded worker pool otherwise.
+// dispatcher when Dispatch is configured, otherwise the sharded worker
+// pool — for a single worker, one shard in plan order, the serial
+// reference.
 func (o Options) executor() campaign.Executor {
-	if o.execOverride != nil {
-		return o.execOverride
-	}
 	if d := o.Dispatch; d != nil {
 		sub := &dispatch.Subprocess{
 			Command:      d.Command,
@@ -226,7 +219,8 @@ func (o Options) executor() campaign.Executor {
 		return sub
 	}
 	if o.Workers <= 1 {
-		return campaign.Serial{}
+		// One shard, not o.Shards: plan order and a single shard span.
+		return campaign.Sharded{Workers: 1, Shards: 1}
 	}
 	return campaign.Sharded{Workers: o.Workers, Shards: o.Shards}
 }

@@ -3,19 +3,23 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign/chaos"
 	"repro/internal/campaign/dispatch"
+	dnet "repro/internal/campaign/dispatch/net"
 )
 
 // startTestAgents runs count in-process networked worker agents on the
 // real experiment LookupFactory (the one cmd/inject -worker-listen
 // uses) and returns their dial addresses. The campaign spec reaches
 // each agent over the wire at handshake, exactly as in a two-terminal
-// deployment.
-func startTestAgents(t *testing.T, count int) []string {
+// deployment. A non-nil tap intercepts every frame of every agent.
+func startTestAgents(t *testing.T, count int, tap dnet.Tap) []string {
 	t.Helper()
 	addrs := make([]string, count)
 	for i := range addrs {
@@ -25,6 +29,7 @@ func startTestAgents(t *testing.T, count int) []string {
 		go func() {
 			defer close(done)
 			dispatch.ServeNet(ctx, "127.0.0.1:0", LookupFromSpec, dispatch.NetServeOptions{
+				Tap:   tap,
 				Ready: func(a net.Addr) { addrCh <- a },
 			})
 		}()
@@ -51,7 +56,7 @@ func startTestAgents(t *testing.T, count int) []string {
 // dead fleet would degrade straight to in-process execution — which
 // would still pass the byte-identity checks, hence the log assertions
 // where liveness matters.
-func fleetDispatchOpts(t *testing.T, opts Options, spec WorkerSpec, addrs []string, log *bytes.Buffer) Options {
+func fleetDispatchOpts(t *testing.T, opts Options, spec WorkerSpec, addrs []string, log io.Writer) Options {
 	t.Helper()
 	spec.Options = opts
 	specJSON, err := spec.Encode()
@@ -66,6 +71,78 @@ func fleetDispatchOpts(t *testing.T, opts Options, spec WorkerSpec, addrs []stri
 		Log:          log,
 	}
 	return opts
+}
+
+// netChaos returns a fault tap for fleet chaos tests: corrupted frame
+// bodies and connection resets, never inside a connection's handshake,
+// and at most maxFaults of them so the chaos provably runs dry.
+func netChaos(seed int64, maxFaults int64) *chaos.NetFaults {
+	return &chaos.NetFaults{
+		Seed:        seed,
+		CorruptRate: 0.15,
+		ResetRate:   0.15,
+		SkipFrames:  2, // hello and ack out, netConfig and the first request in
+		MaxFaults:   maxFaults,
+	}
+}
+
+// chaosFleetOpts dispatches opts over two in-process agents wearing
+// tap, with a shard retry budget that outlasts the tap's fault cap:
+// one fault fails at most one shard attempt.
+func chaosFleetOpts(t *testing.T, opts Options, spec WorkerSpec, tap *chaos.NetFaults, log *syncLog) Options {
+	t.Helper()
+	opts = fleetDispatchOpts(t, opts, spec, startTestAgents(t, 2, tap), log)
+	opts.Dispatch.Retries = int(tap.MaxFaults)
+	return opts
+}
+
+// checkChaosHealed asserts that a chaos campaign really ran on the
+// faulty fleet: faults fired, the coordinator re-dispatched a shard,
+// and no shard fell back to in-process execution — which would also
+// reproduce the serial output and so prove nothing.
+func checkChaosHealed(t *testing.T, name string, tap *chaos.NetFaults, log string) {
+	t.Helper()
+	if tap.Faults() == 0 {
+		t.Errorf("%s: no network faults fired; the chaos arm proved nothing", name)
+	}
+	if !strings.Contains(log, "retrying on a fresh worker") {
+		t.Errorf("%s: no shard was re-dispatched after a fault:\n%s", name, log)
+	}
+	for _, bad := range []string{"degrading", "in-process"} {
+		if strings.Contains(log, bad) {
+			t.Errorf("%s: the campaign left the fleet (%q):\n%s", name, bad, log)
+		}
+	}
+}
+
+// TestPermeabilityChaosWithRetryMatchesSerial runs Table 1's exact
+// permeability campaign on a fleet whose agents corrupt, reset and drop
+// frames, and asserts the coordinator's shard re-dispatch heals every
+// fault: output byte-identical to the Workers: 1 run. A dropped frame
+// is noticed only by the shard deadline (a duplicate goes out at half
+// of it), so this arm runs with a short one.
+func TestPermeabilityChaosWithRetryMatchesSerial(t *testing.T) {
+	ClearGoldenCache()
+	base, err := EstimatePermeability(context.Background(), determinismOpts(1), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ClearGoldenCache()
+	var log syncLog
+	tap := netChaos(106, 4) // the first frame after the ack drops, the next is corrupted
+	tap.DropRate = 0.1
+	opts := chaosFleetOpts(t, determinismOpts(4), WorkerSpec{PerInput: 6}, tap, &log)
+	opts.Dispatch.ShardTimeout = 2 * time.Second
+	res, err := EstimatePermeability(context.Background(), opts, 6)
+	if err != nil {
+		t.Fatalf("chaos campaign: %v\nlog:\n%s", err, log.String())
+	}
+	if a, b := permeabilityFingerprint(t, base), permeabilityFingerprint(t, res); a != b {
+		t.Errorf("chaos campaign differs from serial after %d faults:\n--- serial ---\n%s\n--- chaos ---\n%s",
+			tap.Faults(), a, b)
+	}
+	checkChaosHealed(t, "exact", tap, log.String())
 }
 
 // TestFleetPermeabilityMatchesSerial pins the experiment-level fleet
@@ -89,7 +166,7 @@ func TestFleetPermeabilityMatchesSerial(t *testing.T) {
 		}
 
 		ClearGoldenCache()
-		addrs := startTestAgents(t, 2)
+		addrs := startTestAgents(t, 2, nil)
 		var log bytes.Buffer
 		opts := determinismOpts(2)
 		opts.Adaptive = adaptive
@@ -125,7 +202,7 @@ func TestFleetInputCoverageOnTankMatchesSerial(t *testing.T) {
 	}
 
 	ClearGoldenCache()
-	addrs := startTestAgents(t, 2)
+	addrs := startTestAgents(t, 2, nil)
 	var log bytes.Buffer
 	opts := tankOpts(t, 5)
 	opts.Cases = opts.Cases[:1]

@@ -8,12 +8,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/campaign/chaos"
 	"repro/internal/obs"
 )
 
@@ -29,40 +27,50 @@ func fullTelemetry() *obs.Telemetry {
 	})
 }
 
-// TestTelemetryDoesNotPerturbCampaigns is the tentpole acceptance
-// gate: campaign results must be byte-identical with telemetry on and
-// off, across every executor — serial, sharded at 1/2/8 shards, the
-// chaos+retry seam, and real worker subprocesses (which additionally
-// forward metrics frames over the wire protocol).
-func TestTelemetryDoesNotPerturbCampaigns(t *testing.T) {
-	prev := obs.Install(nil)
-	defer obs.Install(prev)
+// permWithTelemetry runs the 6-per-input permeability campaign under
+// opts with full telemetry installed and returns its fingerprint.
+func permWithTelemetry(t *testing.T, name string, opts Options) string {
+	t.Helper()
+	ClearGoldenCache()
+	tel := fullTelemetry()
+	obs.Install(tel)
+	res, err := EstimatePermeability(context.Background(), opts, 6)
+	tel.Close()
+	obs.Install(nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return permeabilityFingerprint(t, res)
+}
 
-	// Reference arm: telemetry fully disabled.
+// permWithoutTelemetry is the reference arm: telemetry fully disabled.
+func permWithoutTelemetry(t *testing.T) string {
+	t.Helper()
 	ClearGoldenCache()
 	base, err := EstimatePermeability(context.Background(), determinismOpts(1), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := permeabilityFingerprint(t, base)
+	return permeabilityFingerprint(t, base)
+}
+
+// TestTelemetryDoesNotPerturbCampaigns is the tentpole acceptance
+// gate: campaign results must be byte-identical with telemetry on and
+// off, across every executor — serial, sharded at 1/2/8 shards, and
+// real worker subprocesses (which additionally forward metrics frames
+// over the wire protocol).
+func TestTelemetryDoesNotPerturbCampaigns(t *testing.T) {
+	prev := obs.Install(nil)
+	defer obs.Install(prev)
+	ref := permWithoutTelemetry(t)
 
 	run := func(name string, opts Options) {
 		t.Helper()
-		ClearGoldenCache()
-		tel := fullTelemetry()
-		obs.Install(tel)
-		res, err := EstimatePermeability(context.Background(), opts, 6)
-		tel.Close()
-		obs.Install(nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if fp := permeabilityFingerprint(t, res); fp != ref {
+		if fp := permWithTelemetry(t, name, opts); fp != ref {
 			t.Errorf("%s with telemetry differs from reference without:\n--- off ---\n%s\n--- on ---\n%s",
 				name, ref, fp)
 		}
 	}
-
 	run("serial", determinismOpts(1))
 	for _, shards := range []int{1, 2, 8} {
 		opts := determinismOpts(4)
@@ -70,32 +78,29 @@ func TestTelemetryDoesNotPerturbCampaigns(t *testing.T) {
 		run(fmt.Sprintf("sharded-%d", shards), opts)
 	}
 
-	// Chaos + retry: telemetry counts every fault and retry while the
-	// retry layer heals them; the healed output must still match.
-	var mu sync.Mutex
-	faults := 0
-	chaosOpts := determinismOpts(4)
-	chaosOpts.Shards = 8
-	chaosOpts.execOverride = chaos.Chaos{
-		Inner: campaign.Retry{
-			Inner:       campaign.Sharded{Workers: 4, Shards: 8},
-			Attempts:    4,
-			BackoffBase: time.Millisecond,
-			BackoffCap:  4 * time.Millisecond,
-		},
-		Seed:      99,
-		PanicRate: 0.05, ErrorRate: 0.05, DelayRate: 0.05, DropRate: 0.05,
-		OnFault: func(int, chaos.Fault) { mu.Lock(); faults++; mu.Unlock() },
-	}
-	run("chaos+retry", chaosOpts)
-	if faults == 0 {
-		t.Error("chaos arm fired no faults; it proved nothing")
-	}
-
 	// Subprocess dispatch: workers run EnsureActive telemetry and ship
 	// metric deltas back over proto-v2 envelopes.
 	var log syncLog
 	run("subprocess", subprocessOpts(t, 2, 4, WorkerSpec{PerInput: 6}, "", &log))
+}
+
+// TestTelemetryDoesNotPerturbChaosFleet holds the same gate on a fleet
+// whose agents corrupt and reset frames: telemetry counts every
+// integrity failure and re-dispatch while the coordinator heals them,
+// and the healed output must still match the reference.
+func TestTelemetryDoesNotPerturbChaosFleet(t *testing.T) {
+	prev := obs.Install(nil)
+	defer obs.Install(prev)
+	ref := permWithoutTelemetry(t)
+
+	var log syncLog
+	tap := netChaos(99, 4)
+	opts := chaosFleetOpts(t, determinismOpts(4), WorkerSpec{PerInput: 6}, tap, &log)
+	if fp := permWithTelemetry(t, "chaos fleet", opts); fp != ref {
+		t.Errorf("chaos fleet with telemetry differs from reference without:\n--- off ---\n%s\n--- on ---\n%s\nlog:\n%s",
+			ref, fp, log.String())
+	}
+	checkChaosHealed(t, "telemetry", tap, log.String())
 }
 
 // scrapeValue fetches the /metrics endpoint and returns the value of
@@ -222,17 +227,17 @@ func TestPrintRetrySummary(t *testing.T) {
 	col := campaign.NewCollector()
 	col.ObserveExt("calm", 10, time.Second, campaign.Extras{})
 	PrintRetrySummary(&quiet, col)
-	if got := quiet.String(); !strings.Contains(got, "no run retries or shard re-dispatches") {
+	if got := quiet.String(); !strings.Contains(got, "no shard re-dispatches") {
 		t.Errorf("quiet summary = %q", got)
 	}
 
 	var noisy strings.Builder
 	col2 := campaign.NewCollector()
-	col2.ObserveExt("stormy", 10, time.Second, campaign.Extras{RunRetries: 3, ShardRetries: 2})
+	col2.ObserveExt("stormy", 10, time.Second, campaign.Extras{ShardRetries: 2})
 	col2.ObserveExt("calm", 10, time.Second, campaign.Extras{})
 	PrintRetrySummary(&noisy, col2)
 	got := noisy.String()
-	for _, want := range []string{"stormy: 3 run retries, 2 shard re-dispatches", "total: 3 run retries, 2 shard re-dispatches"} {
+	for _, want := range []string{"stormy: 2 shard re-dispatches", "total: 2 shard re-dispatches"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("summary %q missing %q", got, want)
 		}

@@ -78,10 +78,10 @@ func StartTelemetry(f TelemetryFlags, stderr io.Writer) (func(), error) {
 	}, nil
 }
 
-// PrintRetrySummary reports, per campaign, how many runs the Retry
-// executor re-attempted and how many shards the dispatcher re-dispatched
-// — movement that previously existed only as backoff sleeps invisible in
-// any report. Campaigns without retries are folded into one clean line.
+// PrintRetrySummary reports, per campaign, how many shards the
+// dispatcher re-dispatched — movement that otherwise exists only as
+// backoff sleeps invisible in any report. Campaigns without retries are
+// folded into one clean line.
 func PrintRetrySummary(w io.Writer, col *campaign.Collector) {
 	if col == nil {
 		return
@@ -91,15 +91,13 @@ func PrintRetrySummary(w io.Writer, col *campaign.Collector) {
 		return
 	}
 	var parts []string
-	var runRetries, shardRetries, reconnects, stragglers int64
+	var shardRetries, reconnects, stragglers int64
 	for _, r := range rows {
-		runRetries += r.RunRetries
 		shardRetries += r.ShardRetries
 		reconnects += r.FleetReconnects
 		stragglers += r.StragglerRedispatches
-		if r.RunRetries > 0 || r.ShardRetries > 0 || r.FleetReconnects > 0 || r.StragglerRedispatches > 0 {
-			line := fmt.Sprintf("%s: %d run retries, %d shard re-dispatches",
-				r.Campaign, r.RunRetries, r.ShardRetries)
+		if r.ShardRetries > 0 || r.FleetReconnects > 0 || r.StragglerRedispatches > 0 {
+			line := fmt.Sprintf("%s: %d shard re-dispatches", r.Campaign, r.ShardRetries)
 			// Fleet movement appends only when present, so non-fleet
 			// invocations keep the original summary shape exactly.
 			if r.FleetReconnects > 0 {
@@ -112,10 +110,10 @@ func PrintRetrySummary(w io.Writer, col *campaign.Collector) {
 		}
 	}
 	if len(parts) == 0 {
-		fmt.Fprintln(w, "retry summary: no run retries or shard re-dispatches")
+		fmt.Fprintln(w, "retry summary: no shard re-dispatches")
 		return
 	}
-	total := fmt.Sprintf("%d run retries, %d shard re-dispatches", runRetries, shardRetries)
+	total := fmt.Sprintf("%d shard re-dispatches", shardRetries)
 	if reconnects > 0 {
 		total += fmt.Sprintf(", %d fleet reconnects", reconnects)
 	}

@@ -33,7 +33,7 @@ func TestFleetMetricsDuringCampaign(t *testing.T) {
 
 	const perInput = 6
 	ClearGoldenCache()
-	addrs := startTestAgents(t, 2)
+	addrs := startTestAgents(t, 2, nil)
 	var log bytes.Buffer
 	opts := fleetDispatchOpts(t, determinismOpts(2), WorkerSpec{PerInput: perInput}, addrs, &log)
 
@@ -104,7 +104,7 @@ func TestFleetTraceMergesWorkerSpans(t *testing.T) {
 
 	const perInput = 6
 	ClearGoldenCache()
-	addrs := startTestAgents(t, 3)
+	addrs := startTestAgents(t, 3, nil)
 	var log bytes.Buffer
 	opts := fleetDispatchOpts(t, determinismOpts(3), WorkerSpec{PerInput: perInput}, addrs, &log)
 	if _, err := EstimatePermeability(context.Background(), opts, perInput); err != nil {

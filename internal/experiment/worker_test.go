@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/campaign/chaos"
 )
 
 // experimentWorkerEnv diverts the test binary into worker mode: the
@@ -117,46 +116,6 @@ func TestInputCoverageSubprocessMatchesSerial(t *testing.T) {
 	}
 	if a, b := coverageFingerprint(t, base), coverageFingerprint(t, res); a != b {
 		t.Errorf("subprocess coverage differs from serial:\n--- serial ---\n%s\n--- subprocess ---\n%s", a, b)
-	}
-}
-
-// TestPermeabilityChaosWithRetryMatchesSerial injects panics, spurious
-// errors, delays and drops into a real campaign's executor seam and
-// asserts the retry layer heals every fault: output byte-identical to
-// the serial run, with a nonzero fault count proving the chaos was real.
-func TestPermeabilityChaosWithRetryMatchesSerial(t *testing.T) {
-	ClearGoldenCache()
-	base, err := EstimatePermeability(context.Background(), determinismOpts(1), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	faults := 0
-	ClearGoldenCache()
-	opts := determinismOpts(4)
-	opts.Shards = 8
-	opts.execOverride = chaos.Chaos{
-		Inner: campaign.Retry{
-			Inner:       campaign.Sharded{Workers: 4, Shards: 8},
-			Attempts:    4,
-			BackoffBase: time.Millisecond,
-			BackoffCap:  4 * time.Millisecond,
-		},
-		Seed:      99,
-		PanicRate: 0.05, ErrorRate: 0.05, DelayRate: 0.05, DropRate: 0.05,
-		OnFault: func(int, chaos.Fault) { mu.Lock(); faults++; mu.Unlock() },
-	}
-	res, err := EstimatePermeability(context.Background(), opts, 6)
-	if err != nil {
-		t.Fatalf("chaos campaign: %v", err)
-	}
-	if faults == 0 {
-		t.Fatal("no faults fired; the chaos arm proved nothing")
-	}
-	if a, b := permeabilityFingerprint(t, base), permeabilityFingerprint(t, res); a != b {
-		t.Errorf("chaos campaign differs from serial after %d healed faults:\n--- serial ---\n%s\n--- chaos ---\n%s",
-			faults, a, b)
 	}
 }
 

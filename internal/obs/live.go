@@ -183,7 +183,7 @@ func (l *Live) ShardDone() {
 	l.publish()
 }
 
-// Retry counts one run retry for the current campaign.
+// Retry counts one shard re-dispatch for the current campaign.
 func (l *Live) Retry() {
 	if l == nil {
 		return

@@ -52,9 +52,8 @@ type Telemetry struct {
 	start time.Time
 
 	// Engine.
-	Campaigns  *Counter   // campaigns executed end to end
-	RunRetries *Counter   // campaign.Retry re-attempts
-	RunDur     *Histogram // per-run wall time, seconds
+	Campaigns *Counter   // campaigns executed end to end
+	RunDur    *Histogram // per-run wall time, seconds
 
 	// Distributed tracing.
 	TraceWorkerSpans *Counter // worker-recorded spans folded into the parent trace
@@ -122,9 +121,8 @@ func New(cfg Config) *Telemetry {
 		Live:  NewLive(),
 		start: time.Now(),
 
-		Campaigns:  r.Counter("repro_campaigns_total"),
-		RunRetries: r.Counter("repro_run_retries_total"),
-		RunDur:     r.Histogram("repro_run_duration_seconds", DurationBuckets),
+		Campaigns: r.Counter("repro_campaigns_total"),
+		RunDur:    r.Histogram("repro_run_duration_seconds", DurationBuckets),
 
 		TraceWorkerSpans: r.Counter("repro_trace_worker_spans_total"),
 

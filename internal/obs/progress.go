@@ -85,7 +85,7 @@ func (p *Progress) ShardDone() {
 	p.maybeRender(false)
 }
 
-// Retry counts one retried run or re-dispatched shard.
+// Retry counts one re-dispatched shard.
 func (p *Progress) Retry() {
 	if p == nil {
 		return

@@ -14,7 +14,6 @@ var help = map[string]string{
 	"repro_campaigns_total":                   "Campaigns executed end to end.",
 	"repro_campaign_runs_total":               "Runs planned per campaign.",
 	"repro_campaign_runs_done_total":          "Runs completed per campaign.",
-	"repro_run_retries_total":                 "Run re-attempts by the Retry executor.",
 	"repro_run_duration_seconds":              "Per-run wall time.",
 	"repro_trace_worker_spans_total":          "Worker-recorded spans folded into the parent trace.",
 	"repro_shards_total":                      "Shards partitioned for execution.",
@@ -30,7 +29,6 @@ var help = map[string]string{
 	"repro_dispatch_worker_kills_total":       "Worker processes killed or destroyed.",
 	"repro_dispatch_degraded":                 "1 while the dispatcher executes shards in-process.",
 	"repro_worker_runs_total":                 "Runs executed inside worker processes.",
-	"repro_chaos_faults_total":                "Faults injected by the chaos executor.",
 	"repro_golden_cache_hits_total":           "Golden-run cache hits.",
 	"repro_golden_cache_misses_total":         "Golden-run cache misses.",
 	"repro_golden_cache_size":                 "Golden runs currently cached.",
