@@ -30,26 +30,19 @@
 // with queue/exec/network phase attribution, and with -flame-out
 // writes folded stacks for flamegraph renderers.
 //
-// With -mode analytic the tool instead validates the analytic
-// propagation engine (internal/analytic) in-process:
-//
-//   - the three placement rankings (exposure, impact, criticality) of
-//     the analytic profile are byte-identical to the tree-based
-//     reference on the paper's arrestment matrix;
-//   - on the embedded cyclic fixture, fixpoint impacts agree with
-//     Monte Carlo estimation within analytic.CyclicTolerance and are
-//     never below it (the fixpoint is a guaranteed overestimate);
-//   - with -bench, the solver timing rows written by place -bench-out
-//     satisfy the performance contract: full ranking + sweep under
-//     50 ms per operation, at least 100× faster than the measured
-//     permeability campaign, and incremental re-analysis at least 10×
-//     faster than a cold solve.
+// With -mode analytic the tool audits the solver timing rows written
+// by place -bench-out against the analytic engine's performance
+// contract: full ranking + sweep under 50 ms per operation, at least
+// 100× faster than the measured permeability campaign, and incremental
+// re-analysis at least 10× faster than a cold solve. The engine's
+// agreement with tree-based enumeration and with Monte Carlo on the
+// cyclic fixture is tested in internal/analytic.
 //
 // Usage:
 //
 //	adaptcheck -exact exact.json -adaptive adaptive.json [-bench BENCH_adaptive.json] [-z 1.96]
 //	adaptcheck -mode liveness [-target tank,multiout] [-per-class 8]
-//	adaptcheck -mode analytic [-bench BENCH_analytic.json]
+//	adaptcheck -mode analytic -bench BENCH_analytic.json
 //	adaptcheck -mode trace -events events.ndjson [-flame-out stacks.folded] [-top 5]
 package main
 
@@ -58,13 +51,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
-	"repro/internal/analytic"
-	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/paper"
 	"repro/internal/stats"
 	"repro/internal/sut"
 )
@@ -128,10 +119,11 @@ func edgeKey(e sampleEdge) string {
 
 func run() error {
 	mode := flag.String("mode", "samples",
-		"what to check: samples (adaptive vs exact campaign), liveness (pruning soundness per target), analytic (solver equivalence and speed) or trace (campaign event-log analysis)")
+		"what to check: samples (adaptive vs exact campaign), liveness (pruning soundness per target), analytic (solver timing contract) or trace (campaign event-log analysis)")
 	exactPath := flag.String("exact", "", "samples JSON from the exact campaign")
 	adaptivePath := flag.String("adaptive", "", "samples JSON from the adaptive campaign")
-	benchPath := flag.String("bench", "", "adaptive BENCH_campaigns.json to audit (optional)")
+	benchPath := flag.String("bench", "",
+		"BENCH JSON to audit: the adaptive campaign's (samples mode, optional) or place -bench-out's (analytic mode)")
 	z := flag.Float64("z", 1.96, "Wilson interval critical value")
 	targets := flag.String("target", "",
 		"liveness mode: comma-separated registered targets (empty = every non-arrestment entry)")
@@ -206,7 +198,7 @@ func run() error {
 		}
 		pe := stats.Proportion{Successes: e.Successes, Trials: e.Trials}
 		pa := stats.Proportion{Successes: a.Successes, Trials: a.Trials}
-		if d := abs(pe.Estimate() - pa.Estimate()); d > maxDelta {
+		if d := math.Abs(pe.Estimate() - pa.Estimate()); d > maxDelta {
 			maxDelta = d
 		}
 		eLo, eHi := pe.WilsonCI(*z)
@@ -255,11 +247,8 @@ func run() error {
 		}
 	}
 
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "adaptcheck:", v)
-		}
-		return fmt.Errorf("%d violation(s)", len(violations))
+	if err := reportViolations(violations); err != nil {
+		return err
 	}
 
 	fmt.Printf("adaptcheck: %d edges agree within z=%.2f Wilson intervals (max estimate delta %.4f)\n",
@@ -270,128 +259,32 @@ func run() error {
 	return nil
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// reportViolations prints each violation to stderr and returns an error
+// counting them, or nil when there are none.
+func reportViolations(violations []string) error {
+	for _, v := range violations {
+		fmt.Fprintln(os.Stderr, "adaptcheck:", v)
 	}
-	return x
-}
-
-// runAnalytic validates the analytic solver against the tree-based
-// reference and the Monte Carlo estimator, plus (with -bench) the
-// timing rows of place -bench-out.
-func runAnalytic(benchPath string) error {
-	var violations []string
-
-	// 1. Placement-ranking equivalence on the paper's matrix: the
-	// analytic profile must rank every metric byte-identically to the
-	// tree-based reference, and the values themselves must agree.
-	p := paper.Table1()
-	ref, err := core.BuildProfile(p)
-	if err != nil {
-		return err
-	}
-	got, err := analytic.New().Profile(p)
-	if err != nil {
-		return err
-	}
-	for _, m := range []core.Metric{core.ByExposure, core.ByImpact, core.ByCriticality} {
-		r, g := ref.Ranked(m), got.Ranked(m)
-		if len(r) != len(g) {
-			violations = append(violations, fmt.Sprintf("%s ranking: %d vs %d signals", m, len(r), len(g)))
-			continue
-		}
-		for i := range r {
-			if r[i].Signal != g[i].Signal {
-				violations = append(violations, fmt.Sprintf(
-					"%s ranking diverges at #%d: tree %s, analytic %s", m, i+1, r[i].Signal, g[i].Signal))
-				break
-			}
-		}
-	}
-	for _, sp := range ref.Signals() {
-		asp, err := got.Signal(sp.Signal)
-		if err != nil {
-			return err
-		}
-		if sp.Exposure != asp.Exposure {
-			violations = append(violations, fmt.Sprintf(
-				"%s: exposure %v != %v (must be bit-equal)", sp.Signal, asp.Exposure, sp.Exposure))
-		}
-		if d := abs(sp.Criticality - asp.Criticality); d > 1e-9 {
-			violations = append(violations, fmt.Sprintf(
-				"%s: criticality differs by %.3g (tree %v, analytic %v)", sp.Signal, d, sp.Criticality, asp.Criticality))
-		}
-	}
-
-	// 2. Cyclic fixture: fixpoint impacts vs Monte Carlo, within the
-	// documented tolerance and never below (FKG overestimate).
-	csys, cp := analytic.CyclicFixture()
-	eng := analytic.New()
-	const mcSamples = 200_000
-	maxDelta := 0.0
-	for _, s := range csys.SignalIDs() {
-		if s == "in" {
-			continue
-		}
-		fix, err := eng.Impact(cp, "in", s)
-		if err != nil {
-			return err
-		}
-		mc, err := core.MonteCarloImpact(cp, "in", s, mcSamples, 1)
-		if err != nil {
-			return err
-		}
-		d := fix - mc
-		if d < -0.004 { // 3σ of the MC estimator at 200k samples
-			violations = append(violations, fmt.Sprintf(
-				"cyclic in->%s: fixpoint %.4f below Monte Carlo %.4f", s, fix, mc))
-		}
-		if abs(d) > analytic.CyclicTolerance {
-			violations = append(violations, fmt.Sprintf(
-				"cyclic in->%s: |fixpoint %.4f - Monte Carlo %.4f| exceeds tolerance %.2f",
-				s, fix, mc, analytic.CyclicTolerance))
-		}
-		if abs(d) > maxDelta {
-			maxDelta = abs(d)
-		}
-	}
-
-	// 3. Performance contract over the rows place -bench-out wrote.
-	if benchPath != "" {
-		if more, err := auditAnalyticBench(benchPath); err != nil {
-			return err
-		} else {
-			violations = append(violations, more...)
-		}
-	}
-
 	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "adaptcheck:", v)
-		}
 		return fmt.Errorf("%d violation(s)", len(violations))
-	}
-	fmt.Println("adaptcheck: analytic rankings byte-identical to tree-based reference on the arrestment matrix")
-	fmt.Printf("adaptcheck: cyclic fixpoint within %.3f of Monte Carlo (tolerance %.2f) on %s\n",
-		maxDelta, analytic.CyclicTolerance, csys.Name())
-	if benchPath != "" {
-		fmt.Printf("adaptcheck: solver timing rows in %s meet the performance contract\n", benchPath)
 	}
 	return nil
 }
 
-// auditAnalyticBench checks the solver timing rows: ranking + sweep
-// under 50 ms/op and ≥100× faster than the permeability campaign, and
-// incremental re-analysis ≥10× faster than a cold solve.
-func auditAnalyticBench(path string) ([]string, error) {
+// runAnalytic checks the solver timing rows of place -bench-out: ranking
+// + sweep under 50 ms/op and ≥100× faster than the permeability
+// campaign, and incremental re-analysis ≥10× faster than a cold solve.
+func runAnalytic(path string) error {
+	if path == "" {
+		return fmt.Errorf("-mode analytic requires -bench (the rows of place -bench-out)")
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var bench benchDoc
 	if err := json.Unmarshal(data, &bench); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	rows := make(map[string]benchRow, len(bench.Campaigns))
 	for _, row := range bench.Campaigns {
@@ -435,7 +328,11 @@ func auditAnalyticBench(path string) ([]string, error) {
 			"incremental re-analysis (%.2f ms/op) is not 10× faster than a cold solve (%.2f ms/op)",
 			incr*1e3, cold*1e3))
 	}
-	return violations, nil
+	if err := reportViolations(violations); err != nil {
+		return err
+	}
+	fmt.Printf("adaptcheck: solver timing rows in %s meet the performance contract\n", path)
+	return nil
 }
 
 // runLiveness audits the adaptive def/use pruning on the requested

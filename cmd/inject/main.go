@@ -361,8 +361,9 @@ func run() error {
 // matrixCriticalityChecks closes the matrix report: for every
 // multi-output target in the matrix, measure a small permeability
 // sample, rank its signals by criticality (Eqs. 3-4, with the declared
-// output weights live) and verify the measured-tree ranking against the
-// analytic propagation engine.
+// output weights live) with the analytic propagation engine and verify
+// the ranking against tree-based path enumeration, the reference
+// oracle.
 func matrixCriticalityChecks(ctx context.Context, base experiment.Options, names []string) error {
 	const perInput = 60
 	for _, name := range names {
@@ -385,11 +386,11 @@ func matrixCriticalityChecks(ctx context.Context, base experiment.Options, names
 		if err != nil {
 			return err
 		}
-		pr, err := core.BuildProfile(res.Matrix)
+		ar, err := analytic.Shared().Profile(res.Matrix)
 		if err != nil {
 			return err
 		}
-		ar, err := analytic.New().Profile(res.Matrix)
+		pr, err := core.BuildProfile(res.Matrix)
 		if err != nil {
 			return err
 		}
@@ -403,10 +404,10 @@ func matrixCriticalityChecks(ctx context.Context, base experiment.Options, names
 				return fmt.Errorf("criticality check on %s: rankings diverge at #%d (tree %s, analytic %s)",
 					name, i+1, tree[i].Signal, ana[i].Signal)
 			}
-			if tree[i].Kind != model.KindIntermediate {
+			if ana[i].Kind != model.KindIntermediate {
 				continue
 			}
-			fmt.Printf("  %-10s criticality %.3f\n", tree[i].Signal, tree[i].Criticality)
+			fmt.Printf("  %-10s criticality %.3f\n", ana[i].Signal, ana[i].Criticality)
 		}
 		fmt.Println("  analytic ranking matches the measured-tree ranking")
 		fmt.Println()

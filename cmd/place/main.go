@@ -8,11 +8,9 @@
 //	place [-source paper|measure] [-per-input 500] [-sweep] [-bench-out F]
 //
 // The placement metrics come from the analytic propagation solver
-// (internal/analytic) by default; -analytic=false restores the original
-// tree-based path enumeration, whose output is byte-identical — CI
-// compares the two. -sweep appends a module × factor what-if containment
-// grid, and -bench-out writes solver timing rows (plus any campaign rows
-// from measure mode) in the BENCH_campaigns.json schema.
+// (internal/analytic). -sweep appends a module × factor what-if
+// containment grid, and -bench-out writes solver timing rows (plus any
+// campaign rows from measure mode) in the BENCH_campaigns.json schema.
 //
 // Measured campaigns run adaptively by default: sampling streams stop
 // once their Wilson intervals are tight (docs/adaptive.md). -exact
@@ -55,10 +53,8 @@ func run() error {
 	workers := flag.Int("workers", 8, "parallelism (campaigns and -sweep)")
 	exact := flag.Bool("exact", false,
 		"run the full fixed-size grid instead of the adaptive early-stopping campaign")
-	useAnalytic := flag.Bool("analytic", true,
-		"compute placement metrics with the analytic solver; false restores tree-based path enumeration")
 	sweep := flag.Bool("sweep", false,
-		"append a module × factor what-if containment sweep (requires -analytic)")
+		"append a module × factor what-if containment sweep")
 	sweepModules := flag.String("sweep-modules", "",
 		"comma-separated modules to sweep (default: all modules)")
 	sweepFactors := flag.String("sweep-factors", "0,0.25,0.5,0.75,1",
@@ -73,9 +69,6 @@ func run() error {
 	}
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be >= 1 (got %d)", *workers)
-	}
-	if *sweep && !*useAnalytic {
-		return fmt.Errorf("-sweep requires the analytic solver (drop -analytic=false)")
 	}
 	factors, err := parseFactors(*sweepFactors)
 	if err != nil {
@@ -116,43 +109,21 @@ func run() error {
 	}
 
 	engine := analytic.Shared()
-	var pr *core.Profile
-	if *useAnalytic {
-		diag, err := engine.Diagnose(p)
-		if err != nil {
-			return err
-		}
-		mode := "series (acyclic)"
-		if !diag.Acyclic {
-			mode = "fixpoint (cyclic)"
-		}
-		fmt.Fprintf(os.Stderr, "analytic solver: %s, %d active edges, residual %.3g\n",
-			mode, diag.ActiveEdges, diag.Residual)
-		pr, err = engine.Profile(p)
-		if err != nil {
-			return err
-		}
-	} else {
-		pr, err = core.BuildProfile(p)
-		if err != nil {
-			return err
-		}
+	diag, err := engine.Diagnose(p)
+	if err != nil {
+		return err
 	}
-	th := core.DefaultThresholds()
-
-	eh := core.SelectEH(p.System())
-	pa := core.SelectPA(pr, th)
-	ext := core.SelectExtended(pr, th)
-
-	fmt.Println("EH-approach selection (experience/heuristics, Section 5.1):")
-	fmt.Println(" ", eh.Selected())
-	fmt.Println("PA-approach selection (propagation analysis, Section 5.3):")
-	fmt.Println(" ", pa.Selected())
-	fmt.Println("Extended selection (propagation + effect analysis, Section 10):")
-	fmt.Println(" ", ext.Selected())
-	fmt.Println()
-
-	fmt.Println(report.Table2(pr, pa))
+	mode := "series (acyclic)"
+	if !diag.Acyclic {
+		mode = "fixpoint (cyclic)"
+	}
+	fmt.Fprintf(os.Stderr, "analytic solver: %s, %d active edges, residual %.3g\n",
+		mode, diag.ActiveEdges, diag.Residual)
+	pr, err := engine.Profile(p)
+	if err != nil {
+		return err
+	}
+	fmt.Print(selections(pr))
 
 	inPA := map[string]bool{}
 	for _, n := range target.PASet() {
@@ -189,6 +160,23 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "wrote timing rows to %s\n", *benchOut)
 	}
 	return nil
+}
+
+// selections renders the EH, PA and extended selections and Table 2
+// for a profile.
+func selections(pr *core.Profile) string {
+	th := core.DefaultThresholds()
+	pa := core.SelectPA(pr, th)
+	var b strings.Builder
+	fmt.Fprintln(&b, "EH-approach selection (experience/heuristics, Section 5.1):")
+	fmt.Fprintln(&b, " ", core.SelectEH(pr.System()).Selected())
+	fmt.Fprintln(&b, "PA-approach selection (propagation analysis, Section 5.3):")
+	fmt.Fprintln(&b, " ", pa.Selected())
+	fmt.Fprintln(&b, "Extended selection (propagation + effect analysis, Section 10):")
+	fmt.Fprintln(&b, " ", core.SelectExtended(pr, th).Selected())
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, report.Table2(pr, pa))
+	return b.String()
 }
 
 // parseFactors parses the -sweep-factors list, rejecting malformed or

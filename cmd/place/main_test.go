@@ -2,8 +2,11 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/analytic"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/paper"
 )
@@ -68,5 +71,27 @@ func TestParseModules(t *testing.T) {
 		if err == nil && !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseModules(%q) = %v, want %v", tc.csv, got, tc.want)
 		}
+	}
+}
+
+// TestSelectionsMatchTreeReference renders the placement study from the
+// analytic profile and from tree-based path enumeration on the paper's
+// matrix: the strings must be identical.
+func TestSelectionsMatchTreeReference(t *testing.T) {
+	p := paper.Table1()
+	ana, err := analytic.New().Profile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := core.BuildProfile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := selections(ana), selections(tree)
+	if got != want {
+		t.Fatalf("analytic rendering differs from the tree reference:\n%s\n--- tree:\n%s", got, want)
+	}
+	if !strings.Contains(got, "Table 2") {
+		t.Fatalf("rendering lacks Table 2:\n%s", got)
 	}
 }

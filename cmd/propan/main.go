@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/analytic"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -58,19 +59,8 @@ func run() error {
 	flag.Parse()
 
 	// Validate before any campaign or file work so misuse fails fast.
-	if *perInput < 1 {
-		return fmt.Errorf("-per-input must be >= 1 (got %d)", *perInput)
-	}
-	if *workers < 1 {
-		return fmt.Errorf("-workers must be >= 1 (got %d)", *workers)
-	}
-	switch *source {
-	case "paper", "measure":
-	default:
-		return fmt.Errorf("unknown -source %q (want paper or measure)", *source)
-	}
-	if *saveSamples != "" && *source != "measure" {
-		return fmt.Errorf("-save-samples requires -source measure")
+	if err := validateFlags(*source, *perInput, *workers, *saveSamples); err != nil {
+		return err
 	}
 
 	var p *core.Permeability
@@ -159,7 +149,7 @@ func run() error {
 	}
 	fmt.Println()
 
-	pr, err := core.BuildProfile(p)
+	pr, err := analytic.Shared().Profile(p)
 	if err != nil {
 		return err
 	}
@@ -199,6 +189,25 @@ func run() error {
 			return err
 		}
 		fmt.Println(fig)
+	}
+	return nil
+}
+
+// validateFlags rejects flag combinations that cannot run.
+func validateFlags(source string, perInput, workers int, saveSamples string) error {
+	if perInput < 1 {
+		return fmt.Errorf("-per-input must be >= 1 (got %d)", perInput)
+	}
+	if workers < 1 {
+		return fmt.Errorf("-workers must be >= 1 (got %d)", workers)
+	}
+	switch source {
+	case "paper", "measure":
+	default:
+		return fmt.Errorf("unknown -source %q (want paper or measure)", source)
+	}
+	if saveSamples != "" && source != "measure" {
+		return fmt.Errorf("-save-samples requires -source measure")
 	}
 	return nil
 }

@@ -36,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/ea"
@@ -192,7 +193,7 @@ func section(s string) {
 // analyticalArtifacts renders everything derivable from a permeability
 // matrix alone.
 func analyticalArtifacts(want func(string) bool, p *core.Permeability) error {
-	pr, err := core.BuildProfile(p)
+	pr, err := analytic.Shared().Profile(p)
 	if err != nil {
 		return err
 	}

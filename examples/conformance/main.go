@@ -13,13 +13,14 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/paper"
 )
 
 func main() {
 	p := paper.Table1()
-	pr, err := core.BuildProfile(p)
+	pr, err := analytic.Shared().Profile(p)
 	if err != nil {
 		log.Fatal(err)
 	}

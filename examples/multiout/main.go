@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -43,7 +44,7 @@ func main() {
 	p.MustSet("DIAG", 1, 1, 0.90)  // load -> diag_word
 	p.MustSet("DIAG", 2, 1, 0.36)  // mix -> diag_word
 
-	pr, err := core.BuildProfile(p)
+	pr, err := analytic.Shared().Profile(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,10 +77,10 @@ func main() {
 		if sp.Kind == model.KindSystemOutput {
 			continue
 		}
-		c, err := core.CriticalityWith(p, sp.Signal, crits)
-		if err != nil {
-			log.Fatal(err)
+		prod := 1.0
+		for _, o := range sys.SystemOutputs() {
+			prod *= 1 - crits[o]*sp.ImpactOn[o]
 		}
-		fmt.Printf("%-10s criticality %.3f\n", sp.Signal, c)
+		fmt.Printf("%-10s criticality %.3f\n", sp.Signal, 1-prod)
 	}
 }

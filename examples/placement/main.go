@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/ea"
 	"repro/internal/experiment"
@@ -37,7 +38,7 @@ func main() {
 	fmt.Printf("  %d injection runs, %d active\n\n", perm.TotalRuns, perm.ActiveRuns)
 
 	// Step 2: profile and place.
-	pr, err := core.BuildProfile(perm.Matrix)
+	pr, err := analytic.Shared().Profile(perm.Matrix)
 	if err != nil {
 		log.Fatal(err)
 	}

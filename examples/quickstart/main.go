@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -43,7 +44,7 @@ func main() {
 	p.MustSet("DRV", 1, 1, 0.95)    // cmd -> pwm
 
 	// 3. Profile: exposure, impact, criticality per signal.
-	pr, err := core.BuildProfile(p)
+	pr, err := analytic.Shared().Profile(p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/tank"
@@ -57,7 +58,7 @@ func main() {
 
 	// Step 3: place EDMs with the same rules that reproduced the
 	// paper's selections on the arrestment target.
-	pr, err := core.BuildProfile(res.Matrix)
+	pr, err := analytic.Shared().Profile(res.Matrix)
 	if err != nil {
 		log.Fatal(err)
 	}

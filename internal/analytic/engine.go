@@ -56,8 +56,9 @@ func NewWithParams(p Params) *Engine {
 
 var shared = New()
 
-// Shared returns the process-wide engine, the solver cache hot paths
-// (report rendering, cmd/place) route through.
+// Shared returns the process-wide engine, the solver cache every
+// production profile (the commands, examples and target reports)
+// routes through.
 func Shared() *Engine { return shared }
 
 // Stats reports row-cache hits and misses since the engine was created.

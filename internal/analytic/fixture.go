@@ -21,7 +21,7 @@ const CyclicLoopGain = 0.4 * 0.25
 
 // CyclicTolerance is the documented absolute agreement bound between
 // the fixpoint solver and MonteCarloImpact on the cyclic fixture, used
-// by cmd/adaptcheck's analytic mode and CI.
+// by TestCyclicFixtureAgreesWithMonteCarlo.
 const CyclicTolerance = 0.05
 
 // CyclicFixture returns a small system whose positive-permeability

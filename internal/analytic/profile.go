@@ -17,9 +17,10 @@ import (
 // criticality folds C_s = 1 − Π_o (1 − C_o·I(s→o)) (Eq. 4) over the
 // outputs in declaration order with the same [0,1] clamp. On systems
 // whose positive-permeability graph is acyclic — the arrestment target
-// included — the impacts are Eq. 2 within Params.Tol and the rankings
-// are identical to the tree-based code (pinned by tests and
-// cmd/adaptcheck's analytic mode).
+// included — the impacts are Eq. 2 within Params.Tol, and the rankings
+// are identical to the tree-based code except that signals whose tree
+// values tie may trade places (pinned by
+// TestArrestmentRankingsByteIdentical and FuzzAnalyticMatchesTree).
 func (e *Engine) Profile(p *core.Permeability) (*core.Profile, error) {
 	sc, ctx, err := e.contextFor(p)
 	if err != nil {

@@ -108,7 +108,7 @@ func TestGridMatchesTrees(t *testing.T) {
 func TestRandomDAGsMatchTrees(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sys, p := randomLayeredDAG(rng)
+		sys, p := layeredDAG(rng.Intn, rng.Float64)
 		e := New()
 		for _, from := range sys.SignalIDs() {
 			row, err := e.Impacts(p, from)
@@ -129,19 +129,23 @@ func TestRandomDAGsMatchTrees(t *testing.T) {
 	}
 }
 
-func randomLayeredDAG(rng *rand.Rand) (*model.System, *core.Permeability) {
-	layers := 3 + rng.Intn(3)
-	width := 2 + rng.Intn(3)
+// layeredDAG builds a Grid of 3–5 layers of 2–4 signals whose edges are
+// dead (exactly 0, must drop out exactly), certain (exactly 1,
+// saturation paths) or fractional, drawing every choice from intn and
+// frac.
+func layeredDAG(intn func(int) int, frac func() float64) (*model.System, *core.Permeability) {
+	layers := 3 + intn(3)
+	width := 2 + intn(3)
 	sys, p := Grid(layers, width)
 	for _, e := range sys.Edges() {
 		var v float64
-		switch rng.Intn(5) {
+		switch intn(5) {
 		case 0:
-			v = 0 // dead edge: must drop out exactly
+			v = 0
 		case 1:
-			v = 1 // certain edge: saturation paths
+			v = 1
 		default:
-			v = rng.Float64()
+			v = frac()
 		}
 		if err := p.SetEdge(e, v); err != nil {
 			panic(err)
@@ -227,7 +231,8 @@ func TestCyclicFixtureFixpoint(t *testing.T) {
 // TestCyclicFixtureAgreesWithMonteCarlo is the documented validation:
 // the fixpoint's node-marginal view may overestimate the sampled
 // propagation probability on cycles (Harris/FKG), but stays within
-// CyclicTolerance on the fixture.
+// CyclicTolerance on the fixture, on every signal downstream of an
+// input — the loop's own signals included, not just the output.
 func TestCyclicFixtureAgreesWithMonteCarlo(t *testing.T) {
 	sys, p := CyclicFixture()
 	e := New()
@@ -236,7 +241,10 @@ func TestCyclicFixtureAgreesWithMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, to := range sys.SystemOutputs() {
+		for _, to := range sys.SignalIDs() {
+			if sig, _ := sys.Signal(to); sig.Kind == model.KindSystemInput {
+				continue
+			}
 			mc, err := core.MonteCarloImpact(p, from, to, 200_000, 7)
 			if err != nil {
 				t.Fatal(err)

@@ -26,6 +26,13 @@
 // are abstract measures that can be used to obtain a relative ordering
 // across modules and signals" (Section 5.2) — the package therefore never
 // interprets them as probabilities beyond clamping to [0, 1].
+//
+// Every profile outside tests comes from internal/analytic, which solves
+// Eqs. 2–4 without enumerating paths. The tree-based code here —
+// BuildProfile, Impact, Criticality, CriticalityWith and the trees of
+// trees.go — is the reference oracle the solver is tested against, the
+// Figure 4 / propan -tree|-backtrack|-impact artifact, and the tree unit
+// of the place-analytic benchmark.
 package core
 
 import (

@@ -12,6 +12,9 @@ import (
 // path. A signal's impact on itself is 1 (the paper: for the output
 // signal "one could say that the impact is 1.0"). The result is in
 // [0, 1]; a signal with no path to the destination has impact 0.
+//
+// Impact enumerates paths on an impact tree: it is the reference oracle
+// for internal/analytic, which produces the impacts every profile uses.
 func Impact(p *Permeability, from, to model.SignalID) (float64, error) {
 	if _, ok := p.sys.Signal(to); !ok {
 		return 0, fmt.Errorf("core: unknown signal %q", to)
@@ -51,7 +54,8 @@ func ImpactFromPaths(paths []Path) float64 {
 //
 // Output criticalities are taken from the system description
 // (model.Signal.Criticality). For a signal that is itself a system
-// output, its own term uses I = 1, so C_s ≥ C_o as expected.
+// output, its own term uses I = 1, so C_s ≥ C_o as expected. Like
+// Impact, it is the tree-based reference oracle for internal/analytic.
 func Criticality(p *Permeability, s model.SignalID) (float64, error) {
 	crits := make(map[model.SignalID]float64)
 	for _, o := range p.sys.SystemOutputs() {
@@ -65,6 +69,8 @@ func Criticality(p *Permeability, s model.SignalID) (float64, error) {
 // "the criticality values may change when project policies change"
 // (Section 8), so policy exploration must not require rebuilding the
 // system description. Outputs missing from the map default to zero.
+// Tree-based reference: with a profile at hand, fold Eq. 4 over
+// SignalProfile.ImpactOn instead.
 func CriticalityWith(p *Permeability, s model.SignalID, outputCrits map[model.SignalID]float64) (float64, error) {
 	if _, ok := p.sys.Signal(s); !ok {
 		return 0, fmt.Errorf("core: unknown signal %q", s)

@@ -39,7 +39,11 @@ type Profile struct {
 	byID    map[model.SignalID]int
 }
 
-// BuildProfile computes every per-signal measure.
+// BuildProfile computes every per-signal measure by tree-based path
+// enumeration. It is the reference oracle, not the production path:
+// profiles come from internal/analytic, and BuildProfile is what tests
+// and cmd/inject's matrix cross-check compare them against, and the
+// tree unit of the place-analytic benchmark.
 func BuildProfile(p *Permeability) (*Profile, error) {
 	sys := p.sys
 	outs := sys.SystemOutputs()

@@ -72,37 +72,3 @@ func (p *Permeability) ScaleEdge(mod model.ModuleID, in, out int, factor float64
 	cp.values[e] = v
 	return cp, nil
 }
-
-// ContainmentPlan evaluates, for every module, how much scaling its
-// permeabilities by factor would reduce a signal's impact on a system
-// output — a ranking of where containment buys the most protection for
-// that signal/output pair.
-type ContainmentOption struct {
-	Module model.ModuleID
-	// Before and After are the impact values without and with the
-	// hypothetical containment.
-	Before, After float64
-}
-
-// PlanContainment ranks modules by the impact reduction that scaling
-// their pair permeabilities by factor would achieve for from → to.
-// Options are returned in system module order; callers sort as needed.
-func PlanContainment(p *Permeability, from, to model.SignalID, factor float64) ([]ContainmentOption, error) {
-	before, err := Impact(p, from, to)
-	if err != nil {
-		return nil, err
-	}
-	var out []ContainmentOption
-	for _, mod := range p.sys.ModuleIDs() {
-		scaled, err := p.ScaleModule(mod, factor)
-		if err != nil {
-			return nil, err
-		}
-		after, err := Impact(scaled, from, to)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ContainmentOption{Module: mod, Before: before, After: after})
-	}
-	return out, nil
-}

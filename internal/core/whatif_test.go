@@ -90,34 +90,6 @@ func TestScaleEdge(t *testing.T) {
 	}
 }
 
-func TestPlanContainmentRanksEffectiveModules(t *testing.T) {
-	sys := chainSystem(t)
-	p := NewPermeability(sys)
-	p.MustSet("A", 1, 1, 0.9)
-	p.MustSet("B", 1, 1, 0.9)
-
-	options, err := PlanContainment(p, "in", "out", 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(options) != 2 {
-		t.Fatalf("options = %d, want 2", len(options))
-	}
-	for _, o := range options {
-		if o.Before <= o.After {
-			t.Errorf("containing %s did not reduce impact: %v -> %v", o.Module, o.Before, o.After)
-		}
-		// The single path goes through both modules: scaling either by
-		// 0.1 scales the path weight by 0.1.
-		if !approx(o.Before, 0.81) || !approx(o.After, 0.081) {
-			t.Errorf("option %s = %v -> %v, want 0.81 -> 0.081", o.Module, o.Before, o.After)
-		}
-	}
-	if _, err := PlanContainment(p, "ghost", "out", 0.1); err == nil {
-		t.Error("unknown signal accepted")
-	}
-}
-
 // Property: scaling any module by f in [0,1] never increases any
 // impact (monotonicity under containment).
 func TestQuickContainmentMonotone(t *testing.T) {

@@ -1,6 +1,7 @@
 package tank
 
 import (
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -18,7 +19,7 @@ type CriticalityReport struct {
 // RankCriticality profiles the measured matrix and returns the internal
 // signals ranked by criticality, descending.
 func RankCriticality(m *core.Permeability) ([]CriticalityReport, error) {
-	pr, err := core.BuildProfile(m)
+	pr, err := analytic.Shared().Profile(m)
 	if err != nil {
 		return nil, err
 	}
