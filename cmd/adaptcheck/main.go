@@ -271,9 +271,8 @@ func reportViolations(violations []string) error {
 	return nil
 }
 
-// runAnalytic checks the solver timing rows of place -bench-out: ranking
-// + sweep under 50 ms/op and ≥100× faster than the permeability
-// campaign, and incremental re-analysis ≥10× faster than a cold solve.
+// runAnalytic checks the solver timing rows of place -bench-out against
+// the performance contract (checkAnalytic).
 func runAnalytic(path string) error {
 	if path == "" {
 		return fmt.Errorf("-mode analytic requires -bench (the rows of place -bench-out)")
@@ -286,8 +285,20 @@ func runAnalytic(path string) error {
 	if err := json.Unmarshal(data, &bench); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	rows := make(map[string]benchRow, len(bench.Campaigns))
-	for _, row := range bench.Campaigns {
+	if err := reportViolations(checkAnalytic(path, bench.Campaigns)); err != nil {
+		return err
+	}
+	fmt.Printf("adaptcheck: solver timing rows in %s meet the performance contract\n", path)
+	return nil
+}
+
+// checkAnalytic returns the contract violations of the solver timing
+// rows read from src: ranking + sweep under 50 ms/op and ≥100× faster
+// than the permeability campaign, and incremental re-analysis ≥10×
+// faster than a cold solve. A row with no runs counts as missing.
+func checkAnalytic(src string, campaigns []benchRow) []string {
+	rows := make(map[string]benchRow, len(campaigns))
+	for _, row := range campaigns {
 		rows[row.Campaign] = row
 	}
 	perOp := func(name string) (float64, bool) {
@@ -303,7 +314,7 @@ func runAnalytic(path string) error {
 	sweep, okSweep := perOp("analytic-sweep")
 	if !okRank || !okSweep {
 		violations = append(violations, fmt.Sprintf(
-			"%s: missing analytic-rank / analytic-sweep rows (run place -bench-out)", path))
+			"%s: missing analytic-rank / analytic-sweep rows (run place -bench-out)", src))
 	} else {
 		if rank+sweep > 0.05 {
 			violations = append(violations, fmt.Sprintf(
@@ -311,7 +322,7 @@ func runAnalytic(path string) error {
 		}
 		if camp, ok := rows["permeability"]; !ok {
 			violations = append(violations, fmt.Sprintf(
-				"%s: no permeability campaign row — benchmark with place -source measure", path))
+				"%s: no permeability campaign row — benchmark with place -source measure", src))
 		} else if (rank+sweep)*100 > camp.WallS {
 			violations = append(violations, fmt.Sprintf(
 				"ranking + sweep (%.1f ms) is not 100× faster than the %.1f ms permeability campaign",
@@ -322,17 +333,13 @@ func runAnalytic(path string) error {
 	incr, okIncr := perOp("analytic-incremental")
 	if !okCold || !okIncr {
 		violations = append(violations, fmt.Sprintf(
-			"%s: missing analytic-cold / analytic-incremental rows", path))
+			"%s: missing analytic-cold / analytic-incremental rows", src))
 	} else if incr*10 > cold {
 		violations = append(violations, fmt.Sprintf(
 			"incremental re-analysis (%.2f ms/op) is not 10× faster than a cold solve (%.2f ms/op)",
 			incr*1e3, cold*1e3))
 	}
-	if err := reportViolations(violations); err != nil {
-		return err
-	}
-	fmt.Printf("adaptcheck: solver timing rows in %s meet the performance contract\n", path)
-	return nil
+	return violations
 }
 
 // runLiveness audits the adaptive def/use pruning on the requested

@@ -36,14 +36,19 @@ type Engine struct {
 }
 
 type sysCache struct {
-	top  *topology
-	ctxs map[uint64]*context
-	rows map[rowKey][]float64
+	top    *topology
+	shapes map[string]*shape // keyed by the exact active-edge bitset
+	ctxs   map[uint64]*context
+	rows   map[rowKey][]float64
 }
 
+// rowKey identifies a row by its source, its cone's content and the
+// solver that made it: which solver runs depends on the whole active
+// graph, so a cycle outside the cone still selects the fixpoint.
 type rowKey struct {
-	src  int32
-	cone uint64
+	src     int32
+	cone    uint64
+	acyclic bool
 }
 
 // New returns an engine with DefaultParams.
@@ -76,7 +81,8 @@ func (e *Engine) Stats() Stats {
 
 // contextFor compiles (or recalls) the matrix's solve context. The
 // fingerprint pass reads every permeability, so a mutated-in-place
-// matrix is re-compiled automatically.
+// matrix is re-compiled automatically. A new context re-uses the
+// cached shape of its active-edge set when there is one.
 func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 	sys := p.System()
 	if sys == nil {
@@ -91,21 +97,51 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 		if prev, raced := e.systems[sys]; raced {
 			sc = prev
 		} else {
-			sc = &sysCache{top: top, ctxs: make(map[uint64]*context), rows: make(map[rowKey][]float64)}
+			sc = &sysCache{
+				top:    top,
+				shapes: make(map[string]*shape),
+				ctxs:   make(map[uint64]*context),
+				rows:   make(map[rowKey][]float64, top.n),
+			}
 			e.systems[sys] = sc
 		}
 		e.mu.Unlock()
 	}
 
-	ctx := compileContext(sc.top, p)
+	perm, modHash, fp := sc.top.readMatrix(p)
 	e.mu.Lock()
-	if prev, ok := sc.ctxs[ctx.fp]; ok {
+	ctx, ok := sc.ctxs[fp]
+	e.mu.Unlock()
+	if ok {
+		return sc, ctx, nil
+	}
+	key := sc.top.activeKey(perm)
+	e.mu.Lock()
+	sh := sc.shapes[key]
+	e.mu.Unlock()
+	if sh == nil {
+		sh = compileShape(sc.top, perm)
+		e.mu.Lock()
+		if prev, raced := sc.shapes[key]; raced {
+			sh = prev
+		} else {
+			if len(sc.shapes) >= maxContexts {
+				sc.shapes = make(map[string]*shape)
+			}
+			sc.shapes[key] = sh
+		}
+		e.mu.Unlock()
+	}
+
+	ctx = compileContext(sc.top, sh, perm, modHash, fp)
+	e.mu.Lock()
+	if prev, ok := sc.ctxs[fp]; ok {
 		ctx = prev
 	} else {
 		if len(sc.ctxs) >= maxContexts {
 			sc.ctxs = make(map[uint64]*context)
 		}
-		sc.ctxs[ctx.fp] = ctx
+		sc.ctxs[fp] = ctx
 	}
 	e.mu.Unlock()
 	return sc, ctx, nil
@@ -115,7 +151,7 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 // a miss. The returned slice is owned by the cache — callers must not
 // mutate it.
 func (e *Engine) rowFor(sc *sysCache, ctx *context, src int32) []float64 {
-	k := rowKey{src: src, cone: ctx.coneKey[src]}
+	k := rowKey{src: src, cone: ctx.coneKey[src], acyclic: ctx.acyclic}
 	e.mu.Lock()
 	if row, ok := sc.rows[k]; ok {
 		e.hits++

@@ -3,6 +3,7 @@ package analytic
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/paper"
 )
@@ -56,6 +57,141 @@ func TestIncrementalInvalidation(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("row %s[%d]: cached %v != fresh %v", s, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// TestShapeCacheMatchesFreshEngine: contexts share the cached shape of
+// their active-edge set, and a row recalled under one shape must be
+// bit-equal to a fresh engine's solve under another. Each case re-solves
+// on a warm engine and compares every row with a cold one.
+func TestShapeCacheMatchesFreshEngine(t *testing.T) {
+	sys, p := Grid(6, 4)
+	warm := New()
+	base := shapeOf(t, warm, p)
+	if _, err := warm.Profile(p); err != nil {
+		t.Fatal(err)
+	}
+
+	// Zeroing a module drops its edges from the active set: a new shape.
+	zeroed, err := p.ScaleModule("M_2_1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shapeOf(t, warm, zeroed) == base {
+		t.Error("ScaleModule(M_2_1, 0) re-used the unscaled shape")
+	}
+	sameRows(t, warm, zeroed)
+
+	// A positive factor keeps every active edge active: the same shape.
+	scaled, err := p.ScaleModule("M_2_1", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shapeOf(t, warm, scaled) != base {
+		t.Error("ScaleModule(M_2_1, 0.3) compiled a new shape")
+	}
+	sameRows(t, warm, scaled)
+
+	// In place: an edge set to 0 and back returns to the first shape.
+	edge := sys.Edges()[5]
+	was := p.Get(edge)
+	if err := p.SetEdge(edge, 0); err != nil {
+		t.Fatal(err)
+	}
+	if shapeOf(t, warm, p) == base {
+		t.Error("zeroing an edge in place re-used the unscaled shape")
+	}
+	sameRows(t, warm, p)
+	if err := p.SetEdge(edge, was); err != nil {
+		t.Fatal(err)
+	}
+	if shapeOf(t, warm, p) != base {
+		t.Error("restoring the edge did not recall the unscaled shape")
+	}
+	sameRows(t, warm, p)
+
+	// The cyclic fixture's shape keeps the fixpoint path.
+	_, cp := CyclicFixture()
+	if shapeOf(t, warm, cp).acyclic {
+		t.Error("cyclic fixture compiled to an acyclic shape")
+	}
+	sameRows(t, warm, cp)
+
+	// A cycle outside a source's cone selects the fixpoint for the whole
+	// matrix; once the cycle is cut, the series row must not be served
+	// from the fixpoint's cache entry (they differ on reconvergence).
+	lp := cycleBesideDiamond()
+	if shapeOf(t, warm, lp).acyclic {
+		t.Fatal("cycleBesideDiamond compiled to an acyclic shape")
+	}
+	if _, err := warm.Impacts(lp, "a"); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := lp.ScaleModule("L2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shapeOf(t, warm, cut).acyclic {
+		t.Fatal("cutting the loop left a cyclic shape")
+	}
+	sameRows(t, warm, cut)
+}
+
+// cycleBesideDiamond is a diamond a → {b, c} → d → e, which the
+// fixpoint's node-marginal model gets wrong (1 − (1 − w_b·w)(1 − w_c·w)
+// folded before the shared tail), beside a loop y → z → y through L1
+// and L2 that a cannot reach. Every permeability is 0.5.
+func cycleBesideDiamond() *core.Permeability {
+	b := model.NewBuilder("cycle-beside-diamond")
+	b.AddSignal("a", model.Uint(16), model.AsSystemInput())
+	b.AddSignal("x", model.Uint(16), model.AsSystemInput())
+	for _, s := range []model.SignalID{"b", "c", "d", "y", "z"} {
+		b.AddSignal(s, model.Uint(16))
+	}
+	b.AddSignal("e", model.Uint(16), model.AsSystemOutput(1))
+	b.AddModule("SPLIT", model.In("a"), model.Out("b", "c"))
+	b.AddModule("JOIN", model.In("b", "c"), model.Out("d"))
+	b.AddModule("TAIL", model.In("d"), model.Out("e"))
+	b.AddModule("L1", model.In("x", "z"), model.Out("y"))
+	b.AddModule("L2", model.In("y"), model.Out("z"))
+	sys := b.MustBuild()
+	p := core.NewPermeability(sys)
+	for _, e := range sys.Edges() {
+		if err := p.SetEdge(e, 0.5); err != nil {
+			panic(err)
+		}
+	}
+	return p
+}
+
+func shapeOf(t *testing.T, e *Engine, p *core.Permeability) *shape {
+	t.Helper()
+	_, ctx, err := e.contextFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx.shape
+}
+
+// sameRows checks every row of e under p bit-for-bit against a fresh
+// engine.
+func sameRows(t *testing.T, e *Engine, p *core.Permeability) {
+	t.Helper()
+	fresh := New()
+	for _, s := range p.System().SignalIDs() {
+		a, err := e.Impacts(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.Impacts(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("row %s[%d]: warm %v != fresh %v", s, i, a[i], b[i])
 			}
 		}
 	}

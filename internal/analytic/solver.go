@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -11,12 +12,15 @@ import (
 // by DefaultParams.
 type Params struct {
 	// Tol is the series-truncation tolerance of the acyclic solver: an
-	// absolute bound on the impact error left by the dropped tail (the
-	// bound is proven in docs/analytic.md).
+	// absolute bound, per destination, on the impact error left by the
+	// dropped tail. Each destination stops at the first term whose own
+	// tail bound is at most Tol (the bound is proven in
+	// docs/analytic.md).
 	Tol float64
-	// MaxTerms caps the number of series sweeps per source row. If the
-	// tail bound has not dropped below Tol by then, the row is still
-	// returned and the residual is reported via Diagnose.
+	// MaxTerms caps the number of series sweeps per source row. If some
+	// destination's tail bound is still above Tol by then, the row is
+	// still returned and the largest such bound is reported as the
+	// residual via Diagnose.
 	MaxTerms int
 	// FixTol is the per-sweep delta tolerance of the cyclic fixpoint
 	// solver.
@@ -73,8 +77,12 @@ func compileTopology(sys *model.System) *topology {
 	t := &topology{sys: sys, n: sys.NumSignals(), edges: sys.Edges()}
 	t.eFrom = make([]int32, len(t.edges))
 	t.eTo = make([]int32, len(t.edges))
-	modOrdinal := make(map[model.ModuleID]int)
-	for _, m := range sys.Modules() {
+	mods := sys.Modules()
+	modOrdinal := make(map[model.ModuleID]int, len(mods))
+	t.modIDs = make([]model.ModuleID, 0, len(mods))
+	t.modIns = make([][]int32, 0, len(mods))
+	t.modEdges = make([][]int32, len(mods))
+	for _, m := range mods {
 		modOrdinal[m.ID] = len(t.modIDs)
 		t.modIDs = append(t.modIDs, m.ID)
 		ins := make([]int32, 0, len(m.Inputs))
@@ -87,7 +95,6 @@ func compileTopology(sys *model.System) *topology {
 			}
 		}
 		t.modIns = append(t.modIns, ins)
-		t.modEdges = append(t.modEdges, nil)
 	}
 	for i, e := range t.edges {
 		fi, _ := sys.SignalIndex(e.From)
@@ -106,125 +113,191 @@ func compileTopology(sys *model.System) *topology {
 	return t
 }
 
-// context is one permeability matrix compiled against a topology: the
-// active (positive, non-self-loop) subgraph, its condensation order,
-// reachability bitsets and the per-source cone keys that memoize rows.
-type context struct {
-	top  *topology
-	perm []float64 // per system edge
-	fp   uint64    // fingerprint over all module hashes
-
-	modHash []uint64 // FNV-1a over each module's sub-matrix
-
-	// Active subgraph, in condensation-topological sweep order.
-	act     []int32 // active edge ids, ordered by the topo position of From
+// shape is the part of a compiled matrix that depends only on which
+// edges are active (positive permeability, not a self-loop): the
+// condensation, the sweep order, the reachability bitsets and each
+// source's cone modules. Matrices with the same active set share one
+// shape (Engine caches it per system), so a what-if edit that keeps
+// every active edge active re-uses it whole.
+type shape struct {
+	// Active edges, grouped by the topological position of their target
+	// and in system edge order within a target, so one linear pass over
+	// them is a topological sweep that sums every signal's in-edges in a
+	// fixed order: a row's floating-point result then depends only on its
+	// cone, not on the rest of the active graph.
+	act     []int32 // active edge ids
 	actFrom []int32
 	actTo   []int32
-	actPerm []float64
-	inAdj   [][]int32 // per signal: positions into act of its active in-edges
+	// act[inLo[v]:inHi[v]] are the active in-edges of signal v.
+	inLo, inHi []int32
 
 	comps   [][]int32 // SCCs of the active subgraph, topological order
 	compOf  []int32
 	acyclic bool
 
-	words   int      // bitset row width
-	reach   []uint64 // n rows of `words` words: signals reachable from s (incl. s)
-	coneKey []uint64 // per source: hash of the modules in its cone
+	words int      // bitset row width
+	reach []uint64 // n rows of `words` words: signals reachable from s (incl. s)
+
+	// coneMods holds n rows of modWords words: the modules with an input
+	// that s reaches, exactly the modules whose sub-matrix can influence
+	// s's row.
+	modWords int
+	coneMods []uint64
+}
+
+// context is one permeability matrix compiled against a topology: its
+// shape plus the permeabilities and the content hashes that key rows.
+type context struct {
+	top *topology
+	*shape
+	perm    []float64 // per system edge
+	actPerm []float64 // per active edge, in shape order
+	fp      uint64    // fingerprint over all module hashes
+	coneKey []uint64  // per source: hash of its cone modules' hashes
 
 	// residual is the largest unconverged solver bound observed while
 	// solving rows under this context (0 when everything converged).
 	residual float64
 }
 
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
+const hashSeed = 0xcbf29ce484222325
 
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+// mix folds one word into a running hash: a multiply–xorshift round over
+// the whole word, a bijection in v for a fixed h. The hashes are only
+// in-memory cache keys.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
-func compileContext(top *topology, p *core.Permeability) *context {
-	c := &context{top: top, perm: make([]float64, len(top.edges))}
-	for i, e := range top.edges {
-		c.perm[i] = p.Get(e)
+// readMatrix copies p's permeabilities in system edge order and hashes
+// each module's full sub-matrix (zero and self-loop entries included:
+// any change to a module's entries must change its hash).
+func (t *topology) readMatrix(p *core.Permeability) (perm []float64, modHash []uint64, fp uint64) {
+	perm = make([]float64, len(t.edges))
+	for i, e := range t.edges {
+		perm[i] = p.Get(e)
 	}
-
-	// Per-module content hashes over the full sub-matrix (zero and
-	// self-loop entries included: any change to a module's entries must
-	// change its hash).
-	c.modHash = make([]uint64, len(top.modIDs))
-	fp := uint64(fnvOffset)
-	for m := range top.modIDs {
-		h := fnvMix(fnvOffset, uint64(m)+1)
-		for _, ei := range top.modEdges[m] {
-			h = fnvMix(h, math.Float64bits(c.perm[ei]))
+	modHash = make([]uint64, len(t.modIDs))
+	fp = hashSeed
+	for m := range t.modIDs {
+		h := mix(hashSeed, uint64(m)+1)
+		for _, ei := range t.modEdges[m] {
+			h = mix(h, math.Float64bits(perm[ei]))
 		}
-		c.modHash[m] = h
-		fp = fnvMix(fp, h)
+		modHash[m] = h
+		fp = mix(fp, h)
 	}
-	c.fp = fp
+	return perm, modHash, fp
+}
 
-	// Active subgraph: positive permeability, no self-loops. Dropping
-	// the rest preserves Eq. 2 exactly (zero-weight paths contribute a
-	// factor of 1; self-loops never lie on a simple path).
+// active reports whether edge i takes part in propagation. Dropping the
+// rest preserves Eq. 2 exactly (zero-weight paths contribute a factor of
+// 1; self-loops never lie on a simple path).
+func (t *topology) active(perm []float64, i int) bool {
+	return perm[i] > 0 && t.eFrom[i] != t.eTo[i]
+}
+
+// activeKey is the exact active-edge bitset, one bit per system edge,
+// as a map key for the shape cache.
+func (t *topology) activeKey(perm []float64) string {
+	key := make([]byte, (len(t.edges)+7)/8)
+	for i := range t.edges {
+		if t.active(perm, i) {
+			key[i>>3] |= 1 << (uint(i) & 7)
+		}
+	}
+	return string(key)
+}
+
+// compileShape builds the shape of perm's active subgraph.
+func compileShape(top *topology, perm []float64) *shape {
 	n := top.n
-	var active []int32
+	sh := &shape{}
 	outAdj := make([][]int32, n)
+	inDeg := make([]int32, n)
+	nact := 0
 	for i := range top.edges {
-		if c.perm[i] <= 0 || top.eFrom[i] == top.eTo[i] {
-			continue
+		if top.active(perm, i) {
+			outAdj[top.eFrom[i]] = append(outAdj[top.eFrom[i]], int32(i))
+			inDeg[top.eTo[i]]++
+			nact++
 		}
-		active = append(active, int32(i))
-		outAdj[top.eFrom[i]] = append(outAdj[top.eFrom[i]], int32(i))
 	}
 
-	c.condense(outAdj)
+	sh.condense(top, outAdj)
 
-	// Order active edges by the topo position of their source signal so
-	// one linear pass over them is a topological sweep. The sort is a
-	// stable counting sort over positions, keeping system edge order
-	// within a position for determinism.
-	pos := make([]int32, n)
-	order := make([]int32, 0, n)
-	for _, comp := range c.comps {
+	// Counting sort of the active edges by the topological position of
+	// their target, stable in system edge order; inHi is the fill cursor.
+	sh.inLo = make([]int32, n)
+	sh.inHi = make([]int32, n)
+	off := int32(0)
+	for _, comp := range sh.comps {
 		for _, v := range comp {
-			pos[v] = int32(len(order))
-			order = append(order, v)
+			sh.inLo[v], sh.inHi[v] = off, off
+			off += inDeg[v]
 		}
 	}
-	c.act = make([]int32, 0, len(active))
-	for _, v := range order {
-		c.act = append(c.act, outAdj[v]...)
-	}
-	c.actFrom = make([]int32, len(c.act))
-	c.actTo = make([]int32, len(c.act))
-	c.actPerm = make([]float64, len(c.act))
-	c.inAdj = make([][]int32, n)
-	for i, ei := range c.act {
-		c.actFrom[i] = top.eFrom[ei]
-		c.actTo[i] = top.eTo[ei]
-		c.actPerm[i] = c.perm[ei]
-		c.inAdj[c.actTo[i]] = append(c.inAdj[c.actTo[i]], int32(i))
+	sh.act = make([]int32, nact)
+	sh.actFrom = make([]int32, nact)
+	sh.actTo = make([]int32, nact)
+	for i := range top.edges {
+		if top.active(perm, i) {
+			to := top.eTo[i]
+			at := sh.inHi[to]
+			sh.act[at], sh.actFrom[at], sh.actTo[at] = int32(i), top.eFrom[i], to
+			sh.inHi[to]++
+		}
 	}
 
-	c.buildReach(outAdj)
-	c.buildConeKeys()
+	sh.buildReach(top, outAdj)
+
+	sh.modWords = (len(top.modIDs) + 63) / 64
+	sh.coneMods = make([]uint64, n*sh.modWords)
+	for s := int32(0); s < int32(n); s++ {
+		cone := sh.coneMods[int(s)*sh.modWords : (int(s)+1)*sh.modWords]
+		for m, ins := range top.modIns {
+			for _, in := range ins {
+				if sh.reaches(s, in) {
+					cone[m>>6] |= 1 << (uint(m) & 63)
+					break
+				}
+			}
+		}
+	}
+	return sh
+}
+
+// compileContext binds a matrix (read by readMatrix) to its shape: it
+// gathers the active permeabilities in sweep order and folds each
+// source's cone key over its cone modules' hashes. Rows are memoized
+// under the cone key, so changing a module invalidates only the rows
+// whose cone contains it.
+func compileContext(top *topology, sh *shape, perm []float64, modHash []uint64, fp uint64) *context {
+	c := &context{top: top, shape: sh, perm: perm, fp: fp}
+	c.actPerm = make([]float64, len(sh.act))
+	for i, ei := range sh.act {
+		c.actPerm[i] = perm[ei]
+	}
+	c.coneKey = make([]uint64, top.n)
+	for s := range c.coneKey {
+		h := uint64(hashSeed)
+		for w, set := range sh.coneMods[s*sh.modWords : (s+1)*sh.modWords] {
+			for ; set != 0; set &= set - 1 {
+				h = mix(h, modHash[w<<6+bits.TrailingZeros64(set)])
+			}
+		}
+		c.coneKey[s] = h
+	}
 	return c
 }
 
 // condense runs Tarjan's algorithm over the active subgraph and stores
-// the strongly connected components in topological order. The context
+// the strongly connected components in topological order. The shape
 // is acyclic iff every component is a singleton (self-loops are already
 // dropped).
-func (c *context) condense(outAdj [][]int32) {
-	n := c.top.n
+func (c *shape) condense(top *topology, outAdj [][]int32) {
+	n := top.n
 	const unvisited = -1
 	index := make([]int32, n)
 	low := make([]int32, n)
@@ -244,7 +317,7 @@ func (c *context) condense(outAdj [][]int32) {
 		stack = append(stack, v)
 		onStack[v] = true
 		for _, ei := range outAdj[v] {
-			w := c.top.eTo[ei]
+			w := top.eTo[ei]
 			if index[w] == unvisited {
 				strongconnect(w)
 				if low[w] < low[v] {
@@ -293,8 +366,8 @@ func (c *context) condense(outAdj [][]int32) {
 
 // buildReach fills the per-signal reachability bitsets (each signal
 // reaches itself) by walking the condensation sinks-first.
-func (c *context) buildReach(outAdj [][]int32) {
-	n := c.top.n
+func (c *shape) buildReach(top *topology, outAdj [][]int32) {
+	n := top.n
 	c.words = (n + 63) / 64
 	c.reach = make([]uint64, n*c.words)
 	compRow := make([]uint64, len(c.comps)*c.words)
@@ -303,7 +376,7 @@ func (c *context) buildReach(outAdj [][]int32) {
 		for _, v := range c.comps[ci] {
 			row[v>>6] |= 1 << (uint(v) & 63)
 			for _, ei := range outAdj[v] {
-				tc := c.compOf[c.top.eTo[ei]]
+				tc := c.compOf[top.eTo[ei]]
 				if tc == int32(ci) {
 					continue
 				}
@@ -319,36 +392,19 @@ func (c *context) buildReach(outAdj [][]int32) {
 	}
 }
 
-// buildConeKeys hashes, for every source signal, the content hashes of
-// the modules whose inputs the source can reach — exactly the modules
-// whose sub-matrix can influence the source's row. Rows are memoized
-// under this key, so changing a module invalidates only the rows whose
-// cone contains it.
-func (c *context) buildConeKeys() {
-	n := c.top.n
-	c.coneKey = make([]uint64, n)
-	for s := 0; s < n; s++ {
-		row := c.reach[s*c.words : (s+1)*c.words]
-		h := uint64(fnvOffset)
-		for m := range c.top.modIDs {
-			inCone := false
-			for _, in := range c.top.modIns[m] {
-				if row[in>>6]&(1<<(uint(in)&63)) != 0 {
-					inCone = true
-					break
-				}
-			}
-			if inCone {
-				h = fnvMix(h, uint64(m)+1)
-				h = fnvMix(h, c.modHash[m])
-			}
-		}
-		c.coneKey[s] = h
-	}
+func (c *shape) reaches(src, dst int32) bool {
+	return c.reach[int(src)*c.words+int(dst>>6)]&(1<<(uint(dst)&63)) != 0
 }
 
-func (c *context) reaches(src, dst int32) bool {
-	return c.reach[int(src)*c.words+int(dst>>6)]&(1<<(uint(dst)&63)) != 0
+// reachesAny reports whether v reaches a signal of the bitset set.
+func (c *shape) reachesAny(v int32, set []uint64) bool {
+	row := c.reach[int(v)*c.words : (int(v)+1)*c.words]
+	for w, x := range set {
+		if row[w]&x != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // solveRow computes Eq. 2 impacts from one source to every signal. The
@@ -361,6 +417,18 @@ func (c *context) solveRow(src int32, par Params) ([]float64, float64) {
 	return c.solveRowFixpoint(src, par)
 }
 
+// scratch returns buf[:n] zeroed, or a fresh slice when buf is too
+// small; with buf a local array, small rows keep their scratch off the
+// heap.
+func scratch[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	b := buf[:n]
+	clear(b)
+	return b
+}
+
 // solveRowSeries evaluates Eq. 2 exactly on an acyclic active graph.
 //
 // For a destination t, Eq. 2 is I = 1 − Π_p (1 − w_p) over the simple
@@ -369,64 +437,110 @@ func (c *context) solveRow(src int32, par Params) ([]float64, float64) {
 // paths: it is the path sum of the graph whose edge weights are
 // perm^k, one linear sweep over topologically ordered edges. The tail
 // dropped after term k is bounded by S_k·m/((k+1)(1−m)) where
-// m = max_p w_p (itself a max-product sweep); the loop stops when that
-// bound falls below Params.Tol. m == 1 means some path passes errors
-// with certainty and Eq. 2 saturates at exactly 1.
+// m = max_p w_p (itself a max-product sweep); each destination stops
+// once its own bound is at most Params.Tol, and each term sweeps only
+// the edges that still lead to a destination that has not. m == 1
+// means some path passes errors with certainty and Eq. 2 saturates at
+// exactly 1; a destination with exactly one path takes the path's
+// weight through Eq. 2's own one-factor fold, bit-equal to the tree.
 func (c *context) solveRowSeries(src int32, par Params) ([]float64, float64) {
 	n := c.top.n
 	impact := make([]float64, n)
 	impact[src] = 1 // a signal's impact on itself is 1
 
-	// Max-product path weight per destination.
-	maxw := make([]float64, n)
+	var fbuf [3 * 128]float64
+	f := scratch(fbuf[:], 3*n)
+	maxw, logsum, s := f[:n], f[n:2*n], f[2*n:]
+	var pbuf [128]uint8
+	paths := scratch(pbuf[:], n)
+
+	// Max-product path weight and path count (saturating at 2) per
+	// destination, in one sweep.
 	maxw[src] = 1
-	for i, f := range c.actFrom {
-		if maxw[f] > 0 {
-			if cand := maxw[f] * c.actPerm[i]; cand > maxw[c.actTo[i]] {
-				maxw[c.actTo[i]] = cand
-			}
+	paths[src] = 1
+	for i, fr := range c.actFrom {
+		if paths[fr] == 0 {
+			continue // not reachable from src
+		}
+		to := c.actTo[i]
+		if cand := maxw[fr] * c.actPerm[i]; cand > maxw[to] {
+			maxw[to] = cand
+		}
+		paths[to] = min(2, paths[to]+paths[fr])
+	}
+
+	// Destinations the series must resolve: reached over two or more
+	// paths of weight strictly between 0 and 1.
+	var wbuf [4]uint64
+	pendingSet := scratch(wbuf[:], c.words)
+	var dbuf [128]int32
+	pending := dbuf[:0]
+	for t, m := range maxw {
+		if t != int(src) && m > 0 && m < 1 && paths[t] >= 2 {
+			pending = append(pending, int32(t))
+			pendingSet[t>>6] |= 1 << (uint(t) & 63)
 		}
 	}
-	maxw[src] = 0 // src's own row entry is fixed; never a series target
 
-	logsum := make([]float64, n)
-	s := make([]float64, n)
-	pow := append([]float64(nil), c.actPerm...)
+	// Live edges: reachable from src and leading to a pending
+	// destination, with their perm^k.
+	var lbuf [256]int32
+	var kbuf [256]float64
+	live, pow := lbuf[:0], kbuf[:0]
+	for i, fr := range c.actFrom {
+		if paths[fr] != 0 && c.reachesAny(c.actTo[i], pendingSet) {
+			live = append(live, int32(i))
+			pow = append(pow, c.actPerm[i])
+		}
+	}
+
 	residual := 0.0
-	for k := 1; ; k++ {
-		for i := range s {
-			s[i] = 0
-		}
+	for k := 1; len(pending) > 0; k++ {
+		clear(s)
 		s[src] = 1
-		for i, f := range c.actFrom {
-			if s[f] != 0 {
-				s[c.actTo[i]] += s[f] * pow[i]
+		for j, i := range live {
+			if v := s[c.actFrom[i]]; v != 0 {
+				s[c.actTo[i]] += v * pow[j]
 			}
 		}
-		s[src] = 0
 		tail := 0.0
-		for t := 0; t < n; t++ {
-			if m := maxw[t]; m > 0 && m < 1 && s[t] != 0 {
-				logsum[t] += s[t] / float64(k)
-				if tb := s[t] * m / (float64(k+1) * (1 - m)); tb > tail {
-					tail = tb
-				}
+		kept := pending[:0]
+		for _, t := range pending {
+			logsum[t] += s[t] / float64(k)
+			m := maxw[t]
+			if tb := s[t] * m / (float64(k+1) * (1 - m)); tb > par.Tol {
+				kept = append(kept, t)
+				tail = max(tail, tb)
+			} else {
+				pendingSet[t>>6] &^= 1 << (uint(t) & 63)
 			}
 		}
-		if tail <= par.Tol {
+		shrunk := len(kept) < len(pending)
+		pending = kept
+		if len(pending) == 0 {
 			break
 		}
 		if k >= par.MaxTerms {
 			residual = tail
 			break
 		}
-		for i := range pow {
-			pow[i] *= c.actPerm[i]
+		if shrunk {
+			w := 0
+			for j, i := range live {
+				if c.reachesAny(c.actTo[i], pendingSet) {
+					live[w], pow[w] = i, pow[j]
+					w++
+				}
+			}
+			live, pow = live[:w], pow[:w]
+		}
+		for j, i := range live {
+			pow[j] *= c.actPerm[i]
 		}
 	}
 
 	for t := 0; t < n; t++ {
-		if int32(t) == src {
+		if t == int(src) {
 			continue
 		}
 		switch m := maxw[t]; {
@@ -434,15 +548,10 @@ func (c *context) solveRowSeries(src int32, par Params) ([]float64, float64) {
 			impact[t] = 1 // a certain path: Eq. 2's product has a zero factor
 		case m == 0:
 			impact[t] = 0 // unreachable over positive-permeability edges
+		case paths[t] == 1:
+			impact[t] = 1 - (1 - m) // the tree's fold over its one path
 		default:
-			v := -math.Expm1(-logsum[t])
-			if v < 0 {
-				v = 0
-			}
-			if v > 1 {
-				v = 1
-			}
-			impact[t] = v
+			impact[t] = min(1, max(0, -math.Expm1(-logsum[t])))
 		}
 	}
 	return impact, residual
@@ -466,7 +575,7 @@ func (c *context) solveRowFixpoint(src int32, par Params) ([]float64, float64) {
 	residual := 0.0
 	update := func(v int32) float64 {
 		prod := 1.0
-		for _, ai := range c.inAdj[v] {
+		for ai := c.inLo[v]; ai < c.inHi[v]; ai++ {
 			prod *= 1 - p[c.actFrom[ai]]*c.actPerm[ai]
 		}
 		return 1 - prod

@@ -173,6 +173,32 @@ func TestSaturatedPathIsExactlyOne(t *testing.T) {
 	}
 }
 
+// TestSinglePathIsTreeExact: a destination reached over exactly one
+// path takes the tree's own fold of that path's weight, so it is
+// bit-equal to core.Impact. On fuzz input 01880c0222000 the lone edge
+// s_1_0 → s_2_0 has weight 0.188232421875 (M_0_0 passes s_0_0 and s_0_1
+// with certainty), which the series alone returned 1.5e-13 low.
+func TestSinglePathIsTreeExact(t *testing.T) {
+	_, p := fuzzDAG([]byte("01880c0222000"))
+	e := New()
+	for _, from := range []model.SignalID{"s_0_0", "s_0_1", "s_1_0"} {
+		want, err := core.Impact(p, from, "s_2_0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != 0.188232421875 {
+			t.Fatalf("tree impact %s->s_2_0 = %v, fixture changed", from, want)
+		}
+		got, err := e.Impact(p, from, "s_2_0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("impact %s->s_2_0 = %v, want exactly %v", from, got, want)
+		}
+	}
+}
+
 func TestUnreachableIsExactlyZero(t *testing.T) {
 	sys, p := CyclicFixture()
 	e := New()
