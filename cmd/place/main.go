@@ -115,7 +115,7 @@ func run() error {
 	}
 	mode := "series (acyclic)"
 	if !diag.Acyclic {
-		mode = "fixpoint (cyclic)"
+		mode = "fixpoint for sources that reach a cycle, series elsewhere"
 	}
 	fmt.Fprintf(os.Stderr, "analytic solver: %s, %d active edges, residual %.3g\n",
 		mode, diag.ActiveEdges, diag.Residual)

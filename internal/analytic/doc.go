@@ -9,15 +9,15 @@
 // be exponential in graph depth. This package solves all destinations
 // for one source in a fixed number of O(E) sweeps:
 //
-//   - On acyclic permeability graphs it evaluates Eq. 2 exactly via a
-//     power-series transform: log Π_paths (1 − w_p) = −Σ_{k≥1} S_k/k
+//   - For a source whose reach is acyclic it evaluates Eq. 2 exactly via
+//     a power-series transform: log Π_paths (1 − w_p) = −Σ_{k≥1} S_k/k
 //     where S_k = Σ_paths w_p^k is a path sum computable by one
 //     topological sweep with edge weights perm^k. The truncation error
 //     is provably below a stated tolerance (see docs/analytic.md).
-//   - On graphs whose positive-permeability edges form cycles it runs a
-//     monotone Kleene/Gauss–Seidel fixpoint over strongly connected
-//     components, converging to the least fixpoint of the node-failure
-//     equations within a bounded sweep count.
+//   - For a source that reaches a cycle of positive-permeability edges
+//     it runs a monotone Kleene/Gauss–Seidel fixpoint over strongly
+//     connected components, converging to the least fixpoint of the
+//     node-failure equations within a bounded sweep count.
 //
 // Edges with zero permeability and self-loops are dropped before
 // solving: zero-weight paths contribute a factor of 1 to Eq. 2's

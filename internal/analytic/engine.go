@@ -21,11 +21,12 @@ const (
 // same systems. It is safe for concurrent use; the what-if sweep runs
 // one engine from many goroutines.
 //
-// Memoization is compositional: a row (one source, all destinations)
-// is keyed by the content hashes of the modules in the source's
-// downstream cone, so two matrices that differ only in modules outside
-// that cone share the row. core.ScaleModule therefore invalidates only
-// the rows that can see the scaled module.
+// Memoization is compositional: a row (one source; every signal, or
+// only the system outputs, as destinations) is keyed by the content
+// hashes of the modules in the source's downstream cone, so two
+// matrices that differ only in modules outside that cone share the
+// row. core.ScaleModule therefore invalidates only the rows that can
+// see the scaled module.
 type Engine struct {
 	params Params
 
@@ -39,16 +40,46 @@ type sysCache struct {
 	top    *topology
 	shapes map[string]*shape // keyed by the exact active-edge bitset
 	ctxs   map[uint64]*context
-	rows   map[rowKey][]float64
+	rows   map[rowKey]*row
 }
 
-// rowKey identifies a row by its source, its cone's content and the
-// solver that made it: which solver runs depends on the whole active
-// graph, so a cycle outside the cone still selects the fixpoint.
+// row is one cached solver row: the impacts on every signal in dense
+// order, or for an outputs row on the system outputs in declaration
+// order. An outputs row also carries what a profile derives from it
+// alone (the ImpactOn map, the max impact and Eq. 4's criticality),
+// built once and shared by every profile that reads the row.
+type row struct {
+	vals        []float64
+	impactOn    map[model.SignalID]float64
+	impact      float64
+	criticality float64
+}
+
+// deriveOutputs fills the profile fields of an outputs row. The max
+// and the criticality fold run over the outputs in declaration order,
+// as core.BuildProfile's do.
+func (t *topology) deriveOutputs(r *row) {
+	r.impactOn = make(map[model.SignalID]float64, len(r.vals))
+	critProd := 1.0
+	for oi, imp := range r.vals {
+		r.impactOn[t.sys.SignalAt(int(t.outIdx[oi])).ID] = imp
+		if imp > r.impact {
+			r.impact = imp
+		}
+		critProd *= 1 - t.outCrit[oi]*imp
+	}
+	r.criticality = min(1, max(0, 1-critProd))
+}
+
+// rowKey identifies a row by its source, its cone's content, the
+// solver that made it (the series when the source reaches no cycle)
+// and its scope: a full row covers every signal, an outputs row only
+// the system outputs, in declaration order.
 type rowKey struct {
 	src     int32
 	cone    uint64
 	acyclic bool
+	outputs bool
 }
 
 // New returns an engine with DefaultParams.
@@ -101,7 +132,7 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 				top:    top,
 				shapes: make(map[string]*shape),
 				ctxs:   make(map[uint64]*context),
-				rows:   make(map[rowKey][]float64, top.n),
+				rows:   make(map[rowKey]*row, top.n),
 			}
 			e.systems[sys] = sc
 		}
@@ -148,35 +179,43 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 }
 
 // rowFor returns the memoized impact row for one source, solving it on
-// a miss. The returned slice is owned by the cache — callers must not
-// mutate it.
-func (e *Engine) rowFor(sc *sysCache, ctx *context, src int32) []float64 {
-	k := rowKey{src: src, cone: ctx.coneKey[src], acyclic: ctx.acyclic}
+// a miss: every signal, or with outputs set only the system outputs.
+// The returned row is owned by the cache — callers must not mutate it.
+func (e *Engine) rowFor(sc *sysCache, ctx *context, src int32, outputs bool) *row {
+	k := rowKey{src: src, cone: ctx.coneKey[src], acyclic: ctx.acyclicFrom(src), outputs: outputs}
 	e.mu.Lock()
-	if row, ok := sc.rows[k]; ok {
+	if r, ok := sc.rows[k]; ok {
 		e.hits++
 		e.mu.Unlock()
-		return row
+		return r
 	}
 	e.misses++
 	e.mu.Unlock()
 
-	row, residual := ctx.solveRow(src, e.params)
+	dst := sc.top.all
+	if outputs {
+		dst = sc.top.outIdx
+	}
+	vals, residual := ctx.solveRow(src, dst, e.params)
+	r := &row{vals: vals}
+	if outputs {
+		sc.top.deriveOutputs(r)
+	}
 
 	e.mu.Lock()
 	if residual > ctx.residual {
 		ctx.residual = residual
 	}
 	if prev, ok := sc.rows[k]; ok {
-		row = prev // a racing solve won; results are deterministic anyway
+		r = prev // a racing solve won; results are deterministic anyway
 	} else {
 		if len(sc.rows) >= maxRows {
-			sc.rows = make(map[rowKey][]float64)
+			sc.rows = make(map[rowKey]*row)
 		}
-		sc.rows[k] = row
+		sc.rows[k] = r
 	}
 	e.mu.Unlock()
-	return row
+	return r
 }
 
 // Impacts returns I(from → t) for every signal t of the system, indexed
@@ -190,12 +229,13 @@ func (e *Engine) Impacts(p *core.Permeability, from model.SignalID) ([]float64, 
 	if !ok {
 		return nil, fmt.Errorf("analytic: unknown signal %q", from)
 	}
-	row := e.rowFor(sc, ctx, int32(src))
-	return append([]float64(nil), row...), nil
+	row := e.rowFor(sc, ctx, int32(src), false)
+	return append([]float64(nil), row.vals...), nil
 }
 
 // Impact returns I(from → to), Eq. 2 — the drop-in analytic equivalent
-// of core.Impact.
+// of core.Impact. An impact on a system output reads the outputs row
+// that Profile shares.
 func (e *Engine) Impact(p *core.Permeability, from, to model.SignalID) (float64, error) {
 	sc, ctx, err := e.contextFor(p)
 	if err != nil {
@@ -210,14 +250,17 @@ func (e *Engine) Impact(p *core.Permeability, from, to model.SignalID) (float64,
 	if !ok {
 		return 0, fmt.Errorf("analytic: unknown signal %q", to)
 	}
-	row := e.rowFor(sc, ctx, int32(src))
-	return row[dst], nil
+	if o := sc.top.outOrd[dst]; o >= 0 {
+		return e.rowFor(sc, ctx, int32(src), true).vals[o], nil
+	}
+	return e.rowFor(sc, ctx, int32(src), false).vals[dst], nil
 }
 
 // Diag describes how the engine solved a matrix.
 type Diag struct {
-	// Acyclic reports whether the positive-permeability subgraph is
-	// acyclic — i.e. whether the exact series solver applies.
+	// Acyclic reports whether the whole positive-permeability subgraph
+	// is acyclic. Either way, the exact series solver runs every row
+	// whose source reaches no cycle; the fixpoint runs the others.
 	Acyclic bool
 	// ActiveEdges counts positive, non-self-loop edges.
 	ActiveEdges int

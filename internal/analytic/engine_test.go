@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -137,6 +138,82 @@ func TestShapeCacheMatchesFreshEngine(t *testing.T) {
 		t.Fatal("cutting the loop left a cyclic shape")
 	}
 	sameRows(t, warm, cut)
+}
+
+// TestSolverChosenPerSource: a loop that a source cannot reach leaves
+// its row to the exact series. With the loop of cycleBesideDiamond
+// active, I(a→e) is the tree's 0.234375, not the fixpoint's 0.21875,
+// while the loop's own sources still take the fixpoint.
+func TestSolverChosenPerSource(t *testing.T) {
+	p := cycleBesideDiamond()
+	e := New()
+	_, ctx, err := e.contextFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.acyclic {
+		t.Fatal("cycleBesideDiamond compiled to an acyclic shape")
+	}
+	sys := p.System()
+	for sig, want := range map[model.SignalID]bool{"a": true, "b": true, "x": false, "y": false} {
+		i, _ := sys.SignalIndex(sig)
+		if got := ctx.acyclicFrom(int32(i)); got != want {
+			t.Errorf("acyclicFrom(%s) = %v, want %v", sig, got, want)
+		}
+	}
+	tree, err := core.Impact(p, "a", "e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree != 0.234375 {
+		t.Fatalf("tree I(a→e) = %v, want 0.234375", tree)
+	}
+	got, err := e.Impact(p, "a", "e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-tree) > tol {
+		t.Errorf("I(a→e) = %v, want the tree's %v", got, tree)
+	}
+}
+
+// TestOutputRowsMatchFullRows: the rows Profile solves stop once the
+// system outputs converge, and must be bit-equal at the outputs to
+// full rows from a fresh engine, on acyclic and cyclic systems alike.
+func TestOutputRowsMatchFullRows(t *testing.T) {
+	_, grid := Grid(6, 4)
+	_, cyc := CyclicFixture()
+	for _, p := range []*core.Permeability{paper.Table1(), grid, cyc, cycleBesideDiamond()} {
+		pr, err := New().Profile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutputRows(t, pr)
+	}
+}
+
+// sameOutputRows checks every impact of a profile bit-for-bit against a
+// fresh engine's full Impacts row.
+func sameOutputRows(t *testing.T, pr *core.Profile) {
+	t.Helper()
+	p, sys := pr.Permeability(), pr.System()
+	fresh := New()
+	for _, s := range sys.SignalIDs() {
+		row, err := fresh.Impacts(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := pr.Signal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range sys.SystemOutputs() {
+			oi, _ := sys.SignalIndex(o)
+			if got, want := sp.ImpactOn[o], row[oi]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: Profile I(%s→%s) = %v, full row %v", sys.Name(), s, o, got, want)
+			}
+		}
+	}
 }
 
 // cycleBesideDiamond is a diamond a → {b, c} → d → e, which the

@@ -17,8 +17,9 @@ import (
 // residual when a path weight near 1 leaves the series unconverged),
 // and the three rankings identical up to the order of signals whose
 // tree values tie within that bound and that reach some output over two
-// or more paths. The matrix must also survive a JSON round trip
-// byte-identically. Plain `go test` runs the seeds;
+// or more paths. Every profile impact must be bit-equal to a fresh
+// engine's full Impacts row, and the matrix must survive a JSON round
+// trip byte-identically. Plain `go test` runs the seeds;
 // `go test -fuzz FuzzAnalyticMatchesTree` explores.
 func FuzzAnalyticMatchesTree(f *testing.F) {
 	f.Add([]byte{})
@@ -91,6 +92,10 @@ func FuzzAnalyticMatchesTree(f *testing.F) {
 				}
 			}
 		}
+
+		// Profile solves rows scoped to the outputs; they must be
+		// bit-equal there to a fresh engine's full rows.
+		sameOutputRows(t, got)
 
 		first, err := p.MarshalJSON()
 		if err != nil {

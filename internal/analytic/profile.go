@@ -1,15 +1,16 @@
 package analytic
 
-import (
-	"repro/internal/core"
-	"repro/internal/model"
-)
+import "repro/internal/core"
 
 // Profile computes the full dependability profile — Table 5's exposure,
 // per-output impact, max impact, criticality and witness permeability
 // for every signal — in one pass over the edges plus one solver row per
 // signal, and returns it in the same core.Profile shape the placement
-// rules and report tables consume.
+// rules and report tables consume. The rows are scoped to the system
+// outputs, the only destinations a profile reads: each stops once the
+// outputs have converged, with values bit-equal to full rows there.
+// Each signal's ImpactOn map belongs to its cached row and is shared
+// with every profile that reads the row: read it, never write it.
 //
 // Semantics match core.BuildProfile: exposure sums producing-pair
 // permeabilities in edge order (Eq. 1, non-weighted), impact is the
@@ -47,33 +48,17 @@ func (e *Engine) Profile(p *core.Permeability) (*core.Profile, error) {
 	signals := make([]core.SignalProfile, 0, n)
 	for s := 0; s < n; s++ {
 		sig := sys.SignalAt(s)
-		row := e.rowFor(sc, ctx, int32(s))
-		sp := core.SignalProfile{
+		row := e.rowFor(sc, ctx, int32(s), true)
+		signals = append(signals, core.SignalProfile{
 			Signal:            sig.ID,
 			Kind:              sig.Kind,
 			IsBool:            sig.IsBool(),
 			Exposure:          expo[s],
+			ImpactOn:          row.impactOn,
+			Impact:            row.impact,
+			Criticality:       row.criticality,
 			MaxInPermeability: maxIn[s],
-			ImpactOn:          make(map[model.SignalID]float64, len(top.outIdx)),
-		}
-		critProd := 1.0
-		for oi, o := range top.outIdx {
-			imp := row[o]
-			sp.ImpactOn[sys.SignalAt(int(o)).ID] = imp
-			if imp > sp.Impact {
-				sp.Impact = imp
-			}
-			critProd *= 1 - top.outCrit[oi]*imp
-		}
-		crit := 1 - critProd
-		if crit < 0 {
-			crit = 0
-		}
-		if crit > 1 {
-			crit = 1
-		}
-		sp.Criticality = crit
-		signals = append(signals, sp)
+		})
 	}
 	return core.NewProfile(p, signals), nil
 }

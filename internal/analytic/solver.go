@@ -56,7 +56,7 @@ func (p Params) withDefaults() Params {
 }
 
 // topology is the permeability-independent compilation of a system:
-// dense edge endpoints and the per-module edge grouping the content
+// dense edge endpoints and the per-module edge ranges the content
 // hashes are computed over. Built once per *model.System.
 type topology struct {
 	sys   *model.System
@@ -65,12 +65,17 @@ type topology struct {
 	eFrom []int32      // dense endpoint indices per edge
 	eTo   []int32
 	// Per-module views, indexed by module ordinal (declaration order).
-	modIDs   []model.ModuleID
-	modEdges [][]int32 // edge ids of each module
-	modIns   [][]int32 // unique dense input-signal indices of each module
-	// System outputs in declaration order, with their criticalities.
+	// Module m's edges are edges[modLo[m]:modLo[m+1]].
+	modLo  []int32
+	modIns [][]int32 // unique dense input-signal indices of each module
+	// System outputs in declaration order, with their criticalities;
+	// outOrd maps a dense signal index to its position in outIdx (-1
+	// for other signals).
 	outIdx  []int32
 	outCrit []float64
+	outOrd  []int32
+	// all lists every dense signal index: the destinations of a full row.
+	all []int32
 }
 
 func compileTopology(sys *model.System) *topology {
@@ -78,13 +83,11 @@ func compileTopology(sys *model.System) *topology {
 	t.eFrom = make([]int32, len(t.edges))
 	t.eTo = make([]int32, len(t.edges))
 	mods := sys.Modules()
-	modOrdinal := make(map[model.ModuleID]int, len(mods))
-	t.modIDs = make([]model.ModuleID, 0, len(mods))
+	t.modLo = make([]int32, 0, len(mods)+1)
 	t.modIns = make([][]int32, 0, len(mods))
-	t.modEdges = make([][]int32, len(mods))
 	for _, m := range mods {
-		modOrdinal[m.ID] = len(t.modIDs)
-		t.modIDs = append(t.modIDs, m.ID)
+		lo, _, _ := sys.ModuleEdges(m.ID)
+		t.modLo = append(t.modLo, int32(lo))
 		ins := make([]int32, 0, len(m.Inputs))
 		seen := make(map[int32]bool, len(m.Inputs))
 		for _, pb := range m.Inputs {
@@ -96,17 +99,23 @@ func compileTopology(sys *model.System) *topology {
 		}
 		t.modIns = append(t.modIns, ins)
 	}
+	t.modLo = append(t.modLo, int32(len(t.edges)))
 	for i, e := range t.edges {
 		fi, _ := sys.SignalIndex(e.From)
 		ti, _ := sys.SignalIndex(e.To)
 		t.eFrom[i] = int32(fi)
 		t.eTo[i] = int32(ti)
-		ord := modOrdinal[e.Module]
-		t.modEdges[ord] = append(t.modEdges[ord], int32(i))
+	}
+	t.outOrd = make([]int32, t.n)
+	t.all = make([]int32, t.n)
+	for i := range t.outOrd {
+		t.outOrd[i] = -1
+		t.all[i] = int32(i)
 	}
 	for _, o := range sys.SystemOutputs() {
 		oi, _ := sys.SignalIndex(o)
 		sig, _ := sys.Signal(o)
+		t.outOrd[oi] = int32(len(t.outIdx))
 		t.outIdx = append(t.outIdx, int32(oi))
 		t.outCrit = append(t.outCrit, sig.Criticality)
 	}
@@ -133,7 +142,8 @@ type shape struct {
 
 	comps   [][]int32 // SCCs of the active subgraph, topological order
 	compOf  []int32
-	acyclic bool
+	acyclic bool     // every SCC is a singleton
+	cyclic  []uint64 // bitset (words wide) of the signals in multi-node SCCs
 
 	words int      // bitset row width
 	reach []uint64 // n rows of `words` words: signals reachable from s (incl. s)
@@ -174,16 +184,13 @@ func mix(h, v uint64) uint64 {
 // each module's full sub-matrix (zero and self-loop entries included:
 // any change to a module's entries must change its hash).
 func (t *topology) readMatrix(p *core.Permeability) (perm []float64, modHash []uint64, fp uint64) {
-	perm = make([]float64, len(t.edges))
-	for i, e := range t.edges {
-		perm[i] = p.Get(e)
-	}
-	modHash = make([]uint64, len(t.modIDs))
+	perm = p.Values()
+	modHash = make([]uint64, len(t.modIns))
 	fp = hashSeed
-	for m := range t.modIDs {
+	for m := range t.modIns {
 		h := mix(hashSeed, uint64(m)+1)
-		for _, ei := range t.modEdges[m] {
-			h = mix(h, math.Float64bits(perm[ei]))
+		for _, v := range perm[t.modLo[m]:t.modLo[m+1]] {
+			h = mix(h, math.Float64bits(v))
 		}
 		modHash[m] = h
 		fp = mix(fp, h)
@@ -252,7 +259,7 @@ func compileShape(top *topology, perm []float64) *shape {
 
 	sh.buildReach(top, outAdj)
 
-	sh.modWords = (len(top.modIDs) + 63) / 64
+	sh.modWords = (len(top.modIns) + 63) / 64
 	sh.coneMods = make([]uint64, n*sh.modWords)
 	for s := int32(0); s < int32(n); s++ {
 		cone := sh.coneMods[int(s)*sh.modWords : (int(s)+1)*sh.modWords]
@@ -295,7 +302,7 @@ func compileContext(top *topology, sh *shape, perm []float64, modHash []uint64, 
 // condense runs Tarjan's algorithm over the active subgraph and stores
 // the strongly connected components in topological order. The shape
 // is acyclic iff every component is a singleton (self-loops are already
-// dropped).
+// dropped); the members of the other components are marked in cyclic.
 func (c *shape) condense(top *topology, outAdj [][]int32) {
 	n := top.n
 	const unvisited = -1
@@ -354,12 +361,15 @@ func (c *shape) condense(top *topology, outAdj [][]int32) {
 	}
 	c.compOf = make([]int32, n)
 	c.acyclic = true
+	c.words = (n + 63) / 64
+	c.cyclic = make([]uint64, c.words)
 	for ci, comp := range c.comps {
-		if len(comp) > 1 {
-			c.acyclic = false
-		}
 		for _, v := range comp {
 			c.compOf[v] = int32(ci)
+			if len(comp) > 1 {
+				c.acyclic = false
+				c.cyclic[v>>6] |= 1 << (uint(v) & 63)
+			}
 		}
 	}
 }
@@ -368,7 +378,6 @@ func (c *shape) condense(top *topology, outAdj [][]int32) {
 // reaches itself) by walking the condensation sinks-first.
 func (c *shape) buildReach(top *topology, outAdj [][]int32) {
 	n := top.n
-	c.words = (n + 63) / 64
 	c.reach = make([]uint64, n*c.words)
 	compRow := make([]uint64, len(c.comps)*c.words)
 	for ci := len(c.comps) - 1; ci >= 0; ci-- {
@@ -407,14 +416,25 @@ func (c *shape) reachesAny(v int32, set []uint64) bool {
 	return false
 }
 
-// solveRow computes Eq. 2 impacts from one source to every signal. The
+// acyclicFrom reports whether the active subgraph reachable from src
+// is acyclic, i.e. whether the exact series solver applies to its row.
+func (c *shape) acyclicFrom(src int32) bool { return !c.reachesAny(src, c.cyclic) }
+
+// solveRow computes Eq. 2 impacts from one source to the destinations
+// dst (topology.all for a full row): row[i] is the impact on dst[i],
+// and the series stops once those destinations have converged. The
 // returned residual is 0 when the solver converged within Params and
 // otherwise bounds the remaining error.
-func (c *context) solveRow(src int32, par Params) ([]float64, float64) {
-	if c.acyclic {
-		return c.solveRowSeries(src, par)
+func (c *context) solveRow(src int32, dst []int32, par Params) ([]float64, float64) {
+	if c.acyclicFrom(src) {
+		return c.solveRowSeries(src, dst, par)
 	}
-	return c.solveRowFixpoint(src, par)
+	row, residual := c.solveRowFixpoint(src, par)
+	out := make([]float64, len(dst))
+	for i, t := range dst {
+		out[i] = row[t]
+	}
+	return out, residual
 }
 
 // scratch returns buf[:n] zeroed, or a fresh slice when buf is too
@@ -429,7 +449,8 @@ func scratch[T any](buf []T, n int) []T {
 	return b
 }
 
-// solveRowSeries evaluates Eq. 2 exactly on an acyclic active graph.
+// solveRowSeries evaluates Eq. 2 exactly on an acyclic active graph
+// (acyclic at least where src reaches, which is all the row reads).
 //
 // For a destination t, Eq. 2 is I = 1 − Π_p (1 − w_p) over the simple
 // paths p from src to t. Taking logs, log Π (1 − w_p) = −Σ_{k≥1} S_k/k
@@ -443,10 +464,13 @@ func scratch[T any](buf []T, n int) []T {
 // means some path passes errors with certainty and Eq. 2 saturates at
 // exactly 1; a destination with exactly one path takes the path's
 // weight through Eq. 2's own one-factor fold, bit-equal to the tree.
-func (c *context) solveRowSeries(src int32, par Params) ([]float64, float64) {
+//
+// Only the destinations of dst enter the series. A destination's S_k
+// sums only edges of its own cone, in the same order whatever else is
+// pending, and its stop test reads only its own S_k, so its value does
+// not depend on the scope.
+func (c *context) solveRowSeries(src int32, dst []int32, par Params) ([]float64, float64) {
 	n := c.top.n
-	impact := make([]float64, n)
-	impact[src] = 1 // a signal's impact on itself is 1
 
 	var fbuf [3 * 128]float64
 	f := scratch(fbuf[:], 3*n)
@@ -469,15 +493,15 @@ func (c *context) solveRowSeries(src int32, par Params) ([]float64, float64) {
 		paths[to] = min(2, paths[to]+paths[fr])
 	}
 
-	// Destinations the series must resolve: reached over two or more
-	// paths of weight strictly between 0 and 1.
+	// Destinations the series must resolve: in scope and reached over
+	// two or more paths of weight strictly between 0 and 1.
 	var wbuf [4]uint64
 	pendingSet := scratch(wbuf[:], c.words)
 	var dbuf [128]int32
 	pending := dbuf[:0]
-	for t, m := range maxw {
-		if t != int(src) && m > 0 && m < 1 && paths[t] >= 2 {
-			pending = append(pending, int32(t))
+	for _, t := range dst {
+		if m := maxw[t]; t != src && m > 0 && m < 1 && paths[t] >= 2 {
+			pending = append(pending, t)
 			pendingSet[t>>6] |= 1 << (uint(t) & 63)
 		}
 	}
@@ -539,19 +563,19 @@ func (c *context) solveRowSeries(src int32, par Params) ([]float64, float64) {
 		}
 	}
 
-	for t := 0; t < n; t++ {
-		if t == int(src) {
-			continue
-		}
+	impact := make([]float64, len(dst))
+	for i, t := range dst {
 		switch m := maxw[t]; {
+		case t == src:
+			impact[i] = 1 // a signal's impact on itself is 1
 		case m >= 1:
-			impact[t] = 1 // a certain path: Eq. 2's product has a zero factor
+			impact[i] = 1 // a certain path: Eq. 2's product has a zero factor
 		case m == 0:
-			impact[t] = 0 // unreachable over positive-permeability edges
+			impact[i] = 0 // unreachable over positive-permeability edges
 		case paths[t] == 1:
-			impact[t] = 1 - (1 - m) // the tree's fold over its one path
+			impact[i] = 1 - (1 - m) // the tree's fold over its one path
 		default:
-			impact[t] = min(1, max(0, -math.Expm1(-logsum[t])))
+			impact[i] = min(1, max(0, -math.Expm1(-logsum[t])))
 		}
 	}
 	return impact, residual

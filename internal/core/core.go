@@ -44,13 +44,15 @@ import (
 // Permeability holds the estimated error permeability of every module
 // input/output pair of a system (Eq. 1). Unset pairs default to zero.
 type Permeability struct {
-	sys    *model.System
-	values map[model.Edge]float64
+	sys *model.System
+	// values is dense in system edge order (model.System.Edges), so a
+	// module's pairs are one contiguous range (model.System.ModuleEdges).
+	values []float64
 }
 
 // NewPermeability creates an empty matrix for the system.
 func NewPermeability(sys *model.System) *Permeability {
-	return &Permeability{sys: sys, values: make(map[model.Edge]float64)}
+	return &Permeability{sys: sys, values: make([]float64, len(sys.Edges()))}
 }
 
 // System returns the system the matrix describes.
@@ -82,12 +84,17 @@ func (p *Permeability) Set(mod model.ModuleID, in, out int, v float64) error {
 	return p.SetEdge(e, v)
 }
 
-// SetEdge stores the permeability of an edge.
+// SetEdge stores the permeability of an edge. The edge must be one of
+// the system's (model.System.EdgeIndex), signals included.
 func (p *Permeability) SetEdge(e model.Edge, v float64) error {
+	i, ok := p.sys.EdgeIndex(e)
+	if !ok {
+		return fmt.Errorf("core: %s.in%d(%s)->out%d(%s) is not an edge of system %q", e.Module, e.In, e.From, e.Out, e.To, p.sys.Name())
+	}
 	if v < 0 || v > 1 {
 		return fmt.Errorf("core: permeability %v of %s.in%d->out%d outside [0,1]", v, e.Module, e.In, e.Out)
 	}
-	p.values[e] = v
+	p.values[i] = v
 	return nil
 }
 
@@ -98,8 +105,18 @@ func (p *Permeability) MustSet(mod model.ModuleID, in, out int, v float64) {
 	}
 }
 
-// Get returns the permeability of an edge (zero if unset).
-func (p *Permeability) Get(e model.Edge) float64 { return p.values[e] }
+// Get returns the permeability of an edge (zero if unset or not an edge
+// of the system).
+func (p *Permeability) Get(e model.Edge) float64 {
+	if i, ok := p.sys.EdgeIndex(e); ok {
+		return p.values[i]
+	}
+	return 0
+}
+
+// Values returns a copy of every permeability in system edge order
+// (model.System.Edges).
+func (p *Permeability) Values() []float64 { return append([]float64(nil), p.values...) }
 
 // Value returns P^mod_{in,out}.
 func (p *Permeability) Value(mod model.ModuleID, in, out int) (float64, error) {
@@ -107,7 +124,7 @@ func (p *Permeability) Value(mod model.ModuleID, in, out int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.values[e], nil
+	return p.Get(e), nil
 }
 
 // RelativePermeability returns P^M for a module: the sum of its pair
@@ -133,20 +150,15 @@ func (p *Permeability) NonWeightedPermeability(mod model.ModuleID) (float64, err
 }
 
 func (p *Permeability) moduleSum(mod model.ModuleID) (float64, int, error) {
-	m, ok := p.sys.Module(mod)
+	lo, hi, ok := p.sys.ModuleEdges(mod)
 	if !ok {
 		return 0, 0, fmt.Errorf("core: unknown module %q", mod)
 	}
 	var sum float64
-	n := 0
-	for _, in := range m.Inputs {
-		for _, out := range m.Outputs {
-			e := model.Edge{Module: mod, In: in.Index, Out: out.Index, From: in.Signal, To: out.Signal}
-			sum += p.values[e]
-			n++
-		}
+	for _, v := range p.values[lo:hi] {
+		sum += v
 	}
-	return sum, n, nil
+	return sum, hi - lo, nil
 }
 
 // SignalExposure returns X^S_s, the signal error exposure: the sum of
@@ -160,7 +172,7 @@ func (p *Permeability) SignalExposure(s model.SignalID) (float64, error) {
 	}
 	var sum float64
 	for _, e := range p.sys.InEdges(s) {
-		sum += p.values[e]
+		sum += p.Get(e)
 	}
 	return sum, nil
 }
@@ -177,7 +189,7 @@ func (p *Permeability) RelativeSignalExposure(s model.SignalID) (float64, error)
 	}
 	var sum float64
 	for _, e := range in {
-		sum += p.values[e]
+		sum += p.Get(e)
 	}
 	return sum / float64(len(in)), nil
 }

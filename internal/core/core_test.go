@@ -87,6 +87,35 @@ func TestPermeabilitySetErrors(t *testing.T) {
 	}
 }
 
+// TestSetEdgeRejectsForeignEdges: an edge whose module, ports or
+// signals do not match the system is refused, not stored, and reads
+// as zero.
+func TestSetEdgeRejectsForeignEdges(t *testing.T) {
+	sys := chainSystem(t)
+	p := NewPermeability(sys)
+	good := sys.Edges()[2] // B.in1(m1) -> out1(out)
+	if err := p.SetEdge(good, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []model.Edge{
+		{Module: "B", In: 1, Out: 1, From: "m2", To: "out"}, // From bound to in2
+		{Module: "B", In: 1, Out: 1, From: "m1", To: "m1"},  // wrong To
+		{Module: "A", In: 1, Out: 1, From: "m1", To: "out"}, // B's signals on A's ports
+		{Module: "C", In: 1, Out: 1, From: "m1", To: "out"}, // unknown module
+		{Module: "B", In: 3, Out: 1, From: "m1", To: "out"}, // no such port
+	} {
+		if err := p.SetEdge(e, 0.5); err == nil {
+			t.Errorf("SetEdge(%+v) accepted a foreign edge", e)
+		}
+		if got := p.Get(e); got != 0 {
+			t.Errorf("Get(%+v) = %v, want 0", e, got)
+		}
+	}
+	if got := p.Get(good); got != 0.25 {
+		t.Errorf("a refused SetEdge changed a real edge: %v, want 0.25", got)
+	}
+}
+
 func TestModulePermeabilityMeasures(t *testing.T) {
 	sys := chainSystem(t)
 	p := NewPermeability(sys)

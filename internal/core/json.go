@@ -25,9 +25,9 @@ type permEntryJSON struct {
 // is a complete Table 1 for its system).
 func (p *Permeability) MarshalJSON() ([]byte, error) {
 	out := permJSON{System: p.sys.Name()}
-	for _, e := range p.sys.Edges() {
+	for i, e := range p.sys.Edges() {
 		out.Entries = append(out.Entries, permEntryJSON{
-			Module: e.Module, In: e.In, Out: e.Out, Value: p.Get(e),
+			Module: e.Module, In: e.In, Out: e.Out, Value: p.values[i],
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")

@@ -110,8 +110,8 @@ func compileMC(p *Permeability) *mcGraph {
 		perm     float64
 	}
 	var active []act
-	for _, e := range sys.Edges() {
-		w := p.Get(e)
+	for i, e := range sys.Edges() {
+		w := p.values[i]
 		if w <= 0 || e.From == e.To {
 			continue // can never pass, or a no-op on an already-erroneous signal
 		}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -17,7 +18,8 @@ type SignalProfile struct {
 	// Exposure is the (non-weighted) signal error exposure X^S_s.
 	Exposure float64
 	// ImpactOn maps each system output o to I(s → o). A system output's
-	// entry for itself is 1.
+	// entry for itself is 1. The map is read-only: profiles from
+	// internal/analytic share it with the solver's row cache.
 	ImpactOn map[model.SignalID]float64
 	// Impact is the largest per-output impact — for single-output
 	// systems, exactly the Table 5 column.
@@ -166,12 +168,11 @@ func (pr *Profile) Ranked(m Metric) []SignalProfile {
 			return 0
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ki, kj := key(out[i]), key(out[j])
-		if ki != kj {
-			return ki > kj
+	slices.SortFunc(out, func(a, b SignalProfile) int {
+		if c := cmp.Compare(key(b), key(a)); c != 0 {
+			return c
 		}
-		return out[i].Signal < out[j].Signal
+		return cmp.Compare(a.Signal, b.Signal)
 	})
 	return out
 }

@@ -9,11 +9,7 @@ import (
 
 // Clone returns an independent copy of the matrix.
 func (p *Permeability) Clone() *Permeability {
-	cp := NewPermeability(p.sys)
-	for e, v := range p.values {
-		cp.values[e] = v
-	}
-	return cp
+	return &Permeability{sys: p.sys, values: p.Values()}
 }
 
 // CheckScaleFactor rejects a factor that cannot scale permeabilities:
@@ -36,20 +32,13 @@ func (p *Permeability) ScaleModule(mod model.ModuleID, factor float64) (*Permeab
 	if err := CheckScaleFactor(factor); err != nil {
 		return nil, err
 	}
-	m, ok := p.sys.Module(mod)
+	lo, hi, ok := p.sys.ModuleEdges(mod)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown module %q", mod)
 	}
 	cp := p.Clone()
-	for _, in := range m.Inputs {
-		for _, out := range m.Outputs {
-			e := model.Edge{Module: mod, In: in.Index, Out: out.Index, From: in.Signal, To: out.Signal}
-			v := cp.values[e] * factor
-			if v > 1 {
-				v = 1
-			}
-			cp.values[e] = v
-		}
+	for i := lo; i < hi; i++ {
+		cp.values[i] = min(1, cp.values[i]*factor)
 	}
 	return cp, nil
 }
@@ -64,11 +53,8 @@ func (p *Permeability) ScaleEdge(mod model.ModuleID, in, out int, factor float64
 	if err != nil {
 		return nil, err
 	}
+	i, _ := p.sys.EdgeIndex(e)
 	cp := p.Clone()
-	v := cp.values[e] * factor
-	if v > 1 {
-		v = 1
-	}
-	cp.values[e] = v
+	cp.values[i] = min(1, cp.values[i]*factor)
 	return cp, nil
 }

@@ -18,6 +18,19 @@ func TestCloneIsIndependent(t *testing.T) {
 	if got, _ := cp.Value("A", 1, 1); got != 0.9 {
 		t.Errorf("clone value = %v", got)
 	}
+	// Nor does the clone see later writes to its source.
+	p.MustSet("B", 2, 1, 0.7)
+	if got, _ := cp.Value("B", 2, 1); got != 0 {
+		t.Errorf("mutating original changed clone: %v", got)
+	}
+	scaled, err := p.ScaleModule("B", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MustSet("B", 2, 1, 0.1)
+	if got, _ := scaled.Value("B", 2, 1); got != 0.35 {
+		t.Errorf("ScaleModule copy = %v after the source changed, want 0.35", got)
+	}
 }
 
 func TestScaleModule(t *testing.T) {

@@ -30,6 +30,8 @@ type ModuleDecl struct {
 	inSigs  []*Signal
 	outIdx  []int
 	outSigs []*Signal
+	// edgeBase is the index in System.Edges of the module's first edge.
+	edgeBase int
 }
 
 // InputSignal returns the signal bound to input port index (1-based).
@@ -77,6 +79,16 @@ type System struct {
 
 	sigIdx  map[SignalID]int // signal -> dense index (declaration order)
 	sigList []*Signal        // dense index -> signal
+
+	// Edge tables, built once by finalize. edges is in system edge
+	// order; byFrom and byTo hold the same edges grouped by the dense
+	// index of their From (To) signal, in system edge order within a
+	// group: the edges of signal i are byFrom[fromLo[i]:fromLo[i+1]].
+	edges  []Edge
+	byFrom []Edge
+	fromLo []int
+	byTo   []Edge
+	toLo   []int
 }
 
 // finalize interns signals to dense indices and pre-resolves every
@@ -104,6 +116,52 @@ func (s *System) finalize() {
 			m.outSigs[k] = s.signals[pb.Signal]
 		}
 	}
+	s.buildEdges()
+}
+
+// buildEdges fills the edge tables: every input/output pair of every
+// module in module declaration order, then input index, then output
+// index, plus the per-signal groupings (a stable counting sort, so each
+// group keeps that order).
+func (s *System) buildEdges() {
+	for _, mid := range s.modOrder {
+		m := s.modules[mid]
+		m.edgeBase = len(s.edges)
+		for _, in := range m.Inputs {
+			for _, out := range m.Outputs {
+				s.edges = append(s.edges, Edge{
+					Module: mid,
+					In:     in.Index,
+					Out:    out.Index,
+					From:   in.Signal,
+					To:     out.Signal,
+				})
+			}
+		}
+	}
+	n := len(s.sigList)
+	s.byFrom, s.fromLo = groupEdges(s.edges, n, func(e Edge) int { return s.sigIdx[e.From] })
+	s.byTo, s.toLo = groupEdges(s.edges, n, func(e Edge) int { return s.sigIdx[e.To] })
+}
+
+// groupEdges sorts edges stably by key into n groups and returns them
+// with the group offsets (group i is out[lo[i]:lo[i+1]]).
+func groupEdges(edges []Edge, n int, key func(Edge) int) (out []Edge, lo []int) {
+	lo = make([]int, n+1)
+	for _, e := range edges {
+		lo[key(e)+1]++
+	}
+	for i := 0; i < n; i++ {
+		lo[i+1] += lo[i]
+	}
+	out = make([]Edge, len(edges))
+	fill := append([]int(nil), lo[:n]...)
+	for _, e := range edges {
+		k := key(e)
+		out[fill[k]] = e
+		fill[k]++
+	}
+	return out, lo
 }
 
 // NumSignals returns the number of declared signals (and the length of
@@ -198,45 +256,45 @@ func (s *System) ConsumersOf(id SignalID) []PortRef {
 // pairs for which the paper defines an error permeability (Eq. 1). Edges
 // are ordered by module declaration order, then input index, then output
 // index; for the arrestment target this yields the 25 pairs of Table 1.
-func (s *System) Edges() []Edge {
-	var out []Edge
-	for _, mid := range s.modOrder {
-		m := s.modules[mid]
-		for _, in := range m.Inputs {
-			for _, outp := range m.Outputs {
-				out = append(out, Edge{
-					Module: mid,
-					In:     in.Index,
-					Out:    outp.Index,
-					From:   in.Signal,
-					To:     outp.Signal,
-				})
-			}
-		}
+// The slice is shared and must not be written; appending to it copies.
+func (s *System) Edges() []Edge { return s.edges[:len(s.edges):len(s.edges)] }
+
+// EdgeIndex returns e's position in Edges, or false when e is not an
+// edge of the system (unknown module or ports, or signals that do not
+// match the ports' bindings).
+func (s *System) EdgeIndex(e Edge) (int, bool) {
+	m, ok := s.modules[e.Module]
+	if !ok || e.In < 1 || e.In > len(m.Inputs) || e.Out < 1 || e.Out > len(m.Outputs) {
+		return 0, false
 	}
-	return out
+	i := m.edgeBase + (e.In-1)*len(m.Outputs) + e.Out - 1
+	return i, s.edges[i] == e
 }
 
-// OutEdges returns the edges whose From signal is id.
-func (s *System) OutEdges(id SignalID) []Edge {
-	var out []Edge
-	for _, e := range s.Edges() {
-		if e.From == id {
-			out = append(out, e)
-		}
+// ModuleEdges returns the half-open range [lo, hi) of Edges that holds
+// the module's input/output pairs, or false for an unknown module.
+func (s *System) ModuleEdges(id ModuleID) (lo, hi int, ok bool) {
+	m, ok := s.modules[id]
+	if !ok {
+		return 0, 0, false
 	}
-	return out
+	return m.edgeBase, m.edgeBase + len(m.Inputs)*len(m.Outputs), true
 }
 
-// InEdges returns the edges whose To signal is id.
-func (s *System) InEdges(id SignalID) []Edge {
-	var out []Edge
-	for _, e := range s.Edges() {
-		if e.To == id {
-			out = append(out, e)
-		}
+// OutEdges returns the edges whose From signal is id, in Edges order
+// (nil for an unknown signal). The slice is shared like Edges.
+func (s *System) OutEdges(id SignalID) []Edge { return s.group(s.byFrom, s.fromLo, id) }
+
+// InEdges returns the edges whose To signal is id, in Edges order (nil
+// for an unknown signal). The slice is shared like Edges.
+func (s *System) InEdges(id SignalID) []Edge { return s.group(s.byTo, s.toLo, id) }
+
+func (s *System) group(edges []Edge, lo []int, id SignalID) []Edge {
+	i, ok := s.sigIdx[id]
+	if !ok {
+		return nil
 	}
-	return out
+	return edges[lo[i]:lo[i+1]:lo[i+1]]
 }
 
 // ModuleIDs returns all module names in declaration order.
