@@ -15,6 +15,7 @@ type Bank struct {
 	bus      *model.Bus
 	periodMs int64
 	asserts  []*Assertion
+	sigIdx   []int // dense bus index of each assertion's signal
 }
 
 // NewBank deploys assertions for the given specs on the bus, checking
@@ -23,10 +24,16 @@ func NewBank(bus *model.Bus, periodMs int64, specs []Spec) (*Bank, error) {
 	if periodMs <= 0 {
 		return nil, fmt.Errorf("ea: bank period %d must be positive", periodMs)
 	}
-	b := &Bank{bus: bus, periodMs: periodMs}
+	b := &Bank{
+		bus:      bus,
+		periodMs: periodMs,
+		asserts:  make([]*Assertion, 0, len(specs)),
+		sigIdx:   make([]int, 0, len(specs)),
+	}
 	seen := make(map[string]struct{}, len(specs))
 	for _, s := range specs {
-		if _, ok := bus.System().Signal(s.Signal); !ok {
+		i, ok := bus.System().SignalIndex(s.Signal)
+		if !ok {
 			return nil, fmt.Errorf("ea: spec %q guards unknown signal %q", s.Name, s.Signal)
 		}
 		if _, dup := seen[s.Name]; dup {
@@ -38,18 +45,20 @@ func NewBank(bus *model.Bus, periodMs int64, specs []Spec) (*Bank, error) {
 			return nil, err
 		}
 		b.asserts = append(b.asserts, a)
+		b.sigIdx = append(b.sigIdx, i)
 	}
 	return b, nil
 }
 
 // Hook checks every assertion when nowMs falls on the bank period.
-// Values are observed with Bus.Peek, so checking never perturbs the run.
+// Values are observed with Bus.PeekIdx, so checking never perturbs the
+// run.
 func (b *Bank) Hook(nowMs int64) {
 	if nowMs%b.periodMs != 0 {
 		return
 	}
-	for _, a := range b.asserts {
-		a.Check(b.bus.Peek(a.spec.Signal), nowMs)
+	for k, a := range b.asserts {
+		a.Check(b.bus.PeekIdx(b.sigIdx[k]), nowMs)
 	}
 }
 

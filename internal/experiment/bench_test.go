@@ -18,26 +18,34 @@ func benchInjectionOpts() Options {
 	return opts
 }
 
-// BenchmarkInjectionRun pins the cost of one permeability injection run —
-// the unit the ~39 000-run full-size campaigns multiply. ReportAllocs
-// makes allocation regressions on the inner loop visible in CI.
-func BenchmarkInjectionRun(b *testing.B) {
+// benchPermRun returns a permeability campaign over the single-case
+// configuration and a job flipping DIST_S's PACNT input; callers vary
+// job.seq per run.
+func benchPermRun(tb testing.TB) (*permeabilityCampaign, permJob) {
+	tb.Helper()
 	opts := benchInjectionOpts()
 	t, err := resolvedTarget(opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	golds, err := goldens(context.Background(), opts, t)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sys := target.SharedSystem()
 	mod, ok := sys.Module(target.ModDistS)
 	if !ok {
-		b.Fatal("DIST_S missing")
+		tb.Fatal("DIST_S missing")
 	}
 	c := &permeabilityCampaign{opts: opts, t: t, golds: golds, sys: sys}
-	job := permJob{mod: mod, port: model.PortRef{Module: mod.ID, Dir: model.DirIn, Index: 1}, sig: target.SigPACNT}
+	return c, permJob{mod: mod, port: model.PortRef{Module: mod.ID, Dir: model.DirIn, Index: 1}, sig: target.SigPACNT}
+}
+
+// BenchmarkInjectionRun pins the cost of one permeability injection run —
+// the unit the ~39 000-run full-size campaigns multiply. ReportAllocs
+// makes allocation regressions on the inner loop visible in CI.
+func BenchmarkInjectionRun(b *testing.B) {
+	c, job := benchPermRun(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

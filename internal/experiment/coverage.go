@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/fi"
@@ -113,7 +112,7 @@ func (c *inputCoverageCampaign) Plan() ([]covJob, error) {
 // assertions fired, with their first detection times.
 func (c *inputCoverageCampaign) Execute(_ context.Context, j covJob, index int) (covOutcome, error) {
 	g := c.golds[j.caseIdx]
-	rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "cov", index)))
+	rng := runRand(c.t.RunSeed(c.opts.Seed, "cov", index))
 	sig, _ := c.sys.Signal(j.sig)
 	flip := drawFlip(rng, j.port, sig, c.t.InjectWindow(g.arrestMs))
 	out, err := runInjection(caseRig(c.t, c.opts.Seed, g), mechanisms{banks: c.eh},

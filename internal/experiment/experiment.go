@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"repro/internal/campaign"
@@ -351,7 +350,7 @@ func probeFlip(t sut.Target, g *golden, port model.PortRef, sig *model.Signal, s
 	if faultFree {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := runRand(seed)
 	return injected(fi.NewInjector(drawFlip(rng, port, sig, t.InjectWindow(g.arrestMs))))
 }
 

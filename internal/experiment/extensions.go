@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/campaign"
 	"repro/internal/erm"
@@ -86,7 +85,7 @@ func (c *sensitivityCampaign) Plan() ([]sensJob, error) {
 }
 
 func (c *sensitivityCampaign) Execute(_ context.Context, j sensJob, index int) (sensOutcome, error) {
-	rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "modsens", index)))
+	rng := runRand(c.t.RunSeed(c.opts.Seed, "modsens", index))
 	corr := c.models[j.modelIdx]
 	corr.Port = c.port
 	g := c.golds[j.caseIdx]

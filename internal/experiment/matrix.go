@@ -116,7 +116,7 @@ func (c *matrixCampaign) Execute(_ context.Context, j matrixJob, index int) (mat
 	t := c.targets[j.tIdx]
 	topts := c.topts[j.tIdx]
 	g := c.golds[j.tIdx][j.caseIdx]
-	rng := rand.New(rand.NewSource(t.RunSeed(topts.Seed, "matrix", index)))
+	rng := runRand(t.RunSeed(topts.Seed, "matrix", index))
 	out, err := runInjection(caseRig(t, topts.Seed, g), mechanisms{banks: c.eh[j.tIdx]},
 		c.fault(j, rng, t.InjectWindow(g.arrestMs)), atHorizon(g.horizonMs))
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 
@@ -175,7 +174,7 @@ func (c *permeabilityCampaign) round(name string, st AdaptiveRound) (*roundCampa
 // is fixed (permWatch).
 func (c *permeabilityCampaign) Execute(_ context.Context, j permJob, _ int) (permOutcome, error) {
 	g := c.golds[j.caseIdx]
-	rng := rand.New(rand.NewSource(c.t.RunSeed(c.opts.Seed, "perm", j.seq)))
+	rng := runRand(c.t.RunSeed(c.opts.Seed, "perm", j.seq))
 	sig, _ := c.sys.Signal(j.sig)
 	flip := drawFlip(rng, j.port, sig, c.t.InjectWindow(g.arrestMs))
 	w := &permWatch{g: g, mod: j.mod, sig: j.sig, flip: flip}

@@ -60,7 +60,7 @@ func NewLiveness(m *Map, periodMs, fromMs int64) (*Liveness, error) {
 	if fromMs < 0 {
 		return nil, fmt.Errorf("memmap: liveness start %d must not be negative", fromMs)
 	}
-	n := len(m.cells)
+	n := len(m.infos)
 	l := &Liveness{
 		periodMs:   periodMs,
 		fromMs:     fromMs,

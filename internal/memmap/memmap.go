@@ -19,6 +19,7 @@ package memmap
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -73,15 +74,17 @@ type ReadHook func(info CellInfo, raw model.Word) model.Word
 // profiler sees exactly the program's own def/use behaviour.
 type WriteHook func(info CellInfo, raw model.Word)
 
-type cell struct {
-	info CellInfo
-	raw  model.Word
-}
-
 // Map is a simulated memory map. The zero value is ready to use. A Map is
 // not safe for concurrent use; every experiment run owns its own Map.
+//
+// Cell words are stored densely, apart from their metadata, so a
+// checkpoint restore or match is one copy or comparison, and every
+// cell's codec is precomputed at allocation.
 type Map struct {
-	cells  []cell
+	raw    []model.Word        // stored bit patterns, by cell ID
+	init   []model.Word        // initial bit patterns, by cell ID
+	codecs []model.Codec       // the cell types' word codecs, by cell ID
+	infos  []CellInfo          // metadata, by cell ID
 	names  map[string]struct{} // "owner.name" uniqueness
 	reads  []ReadHook
 	writes []WriteHook
@@ -103,11 +106,13 @@ func (m *Map) Alloc(owner, name string, region Region, t model.Type, initial mod
 		panic(fmt.Sprintf("memmap: duplicate cell %s", key))
 	}
 	m.names[key] = struct{}{}
-	id := CellID(len(m.cells))
-	m.cells = append(m.cells, cell{
-		info: CellInfo{ID: id, Owner: owner, Name: name, Region: region, Type: t, Init: t.ToRaw(initial)},
-		raw:  t.ToRaw(initial),
-	})
+	id := CellID(len(m.infos))
+	c := t.Codec()
+	w := c.Encode(initial)
+	m.raw = append(m.raw, w)
+	m.init = append(m.init, w)
+	m.codecs = append(m.codecs, c)
+	m.infos = append(m.infos, CellInfo{ID: id, Owner: owner, Name: name, Region: region, Type: t, Init: w})
 	return &Var{m: m, id: id}
 }
 
@@ -122,47 +127,27 @@ func (m *Map) AllocStack(owner, name string, t model.Type) *Var {
 }
 
 // Reset restores every cell to its initial value, keeping hooks.
-func (m *Map) Reset() {
-	for i := range m.cells {
-		m.cells[i].raw = m.cells[i].info.Init
-	}
-}
+func (m *Map) Reset() { copy(m.raw, m.init) }
 
 // SnapshotInto copies every cell's raw value into dst, in cell-ID
 // order, and returns the filled slice (dst's storage is reused when
 // large enough).
 func (m *Map) SnapshotInto(dst []model.Word) []model.Word {
-	if cap(dst) < len(m.cells) {
-		dst = make([]model.Word, len(m.cells))
+	if cap(dst) < len(m.raw) {
+		dst = make([]model.Word, len(m.raw))
 	}
-	dst = dst[:len(m.cells)]
-	for i := range m.cells {
-		dst[i] = m.cells[i].raw
-	}
+	dst = dst[:len(m.raw)]
+	copy(dst, m.raw)
 	return dst
 }
 
 // RestoreRaw overwrites every cell with the raw values of a SnapshotInto
 // result taken from a map allocated in the same order, without hooks.
-func (m *Map) RestoreRaw(src []model.Word) {
-	for i := range m.cells {
-		m.cells[i].raw = src[i]
-	}
-}
+func (m *Map) RestoreRaw(src []model.Word) { copy(m.raw, src) }
 
 // MatchesRaw reports whether every cell holds the raw value recorded in
 // a SnapshotInto result.
-func (m *Map) MatchesRaw(src []model.Word) bool {
-	if len(src) != len(m.cells) {
-		return false
-	}
-	for i := range m.cells {
-		if m.cells[i].raw != src[i] {
-			return false
-		}
-	}
-	return true
-}
+func (m *Map) MatchesRaw(src []model.Word) bool { return slices.Equal(m.raw, src) }
 
 // OnRead installs a read hook; hooks chain in installation order.
 func (m *Map) OnRead(h ReadHook) { m.reads = append(m.reads, h) }
@@ -177,20 +162,14 @@ func (m *Map) ClearHooks() {
 }
 
 // Cells returns the metadata of every allocated cell, in allocation order.
-func (m *Map) Cells() []CellInfo {
-	out := make([]CellInfo, len(m.cells))
-	for i := range m.cells {
-		out[i] = m.cells[i].info
-	}
-	return out
-}
+func (m *Map) Cells() []CellInfo { return slices.Clone(m.infos) }
 
 // CellsIn returns the metadata of every cell in the given region.
 func (m *Map) CellsIn(region Region) []CellInfo {
 	var out []CellInfo
-	for i := range m.cells {
-		if m.cells[i].info.Region == region {
-			out = append(out, m.cells[i].info)
+	for _, info := range m.infos {
+		if info.Region == region {
+			out = append(out, info)
 		}
 	}
 	return out
@@ -199,7 +178,7 @@ func (m *Map) CellsIn(region Region) []CellInfo {
 // Info returns the metadata of one cell.
 func (m *Map) Info(id CellID) CellInfo {
 	m.check(id)
-	return m.cells[id].info
+	return m.infos[id]
 }
 
 // FlipBit XORs one bit of the stored cell value. Bit positions at or
@@ -208,11 +187,11 @@ func (m *Map) Info(id CellID) CellInfo {
 // silently weaken a campaign.
 func (m *Map) FlipBit(id CellID, bit uint8) error {
 	m.check(id)
-	c := &m.cells[id]
-	if bit >= c.info.Type.Width {
-		return fmt.Errorf("memmap: flip bit %d of %s (width %d)", bit, c.info.Address(), c.info.Type.Width)
+	info := &m.infos[id]
+	if bit >= info.Type.Width {
+		return fmt.Errorf("memmap: flip bit %d of %s (width %d)", bit, info.Address(), info.Type.Width)
 	}
-	c.raw ^= model.Word(1) << bit
+	m.raw[id] ^= model.Word(1) << bit
 	return nil
 }
 
@@ -222,51 +201,47 @@ func (m *Map) FlipBit(id CellID, bit uint8) error {
 // corruption.
 func (m *Map) PeekRaw(id CellID) model.Word {
 	m.check(id)
-	return m.cells[id].raw
+	return m.raw[id]
 }
 
 // PokeRaw overwrites a cell's stored bit pattern without hooks. The
 // pattern is masked to the cell width.
 func (m *Map) PokeRaw(id CellID, raw model.Word) {
 	m.check(id)
-	m.cells[id].raw = raw & m.cells[id].info.Type.Mask()
+	m.raw[id] = m.codecs[id].Encode(raw)
 }
 
 // Peek returns the interpreted value of a cell without hooks.
 func (m *Map) Peek(id CellID) model.Word {
 	m.check(id)
-	c := m.cells[id]
-	return c.info.Type.FromRaw(c.raw)
+	return m.codecs[id].Decode(m.raw[id])
 }
 
 // Poke overwrites a cell (interpreted domain) without hooks.
 func (m *Map) Poke(id CellID, v model.Word) {
 	m.check(id)
-	m.cells[id].raw = m.cells[id].info.Type.ToRaw(v)
+	m.raw[id] = m.codecs[id].Encode(v)
 }
 
 func (m *Map) check(id CellID) {
-	if id < 0 || int(id) >= len(m.cells) {
-		panic(fmt.Sprintf("memmap: cell id %d out of range (have %d cells)", id, len(m.cells)))
+	if id < 0 || int(id) >= len(m.infos) {
+		panic(fmt.Sprintf("memmap: cell id %d out of range (have %d cells)", id, len(m.infos)))
 	}
 }
 
 func (m *Map) read(id CellID) model.Word {
-	c := &m.cells[id]
-	raw := c.raw
+	raw, c := m.raw[id], m.codecs[id]
 	for _, h := range m.reads {
-		raw = h(c.info, raw) & c.info.Type.Mask()
+		raw = c.Encode(h(m.infos[id], raw))
 	}
-	return c.info.Type.FromRaw(raw)
+	return c.Decode(raw)
 }
 
 func (m *Map) write(id CellID, v model.Word) {
-	c := &m.cells[id]
-	c.raw = c.info.Type.ToRaw(v)
-	if len(m.writes) > 0 {
-		for _, h := range m.writes {
-			h(c.info, c.raw)
-		}
+	raw := m.codecs[id].Encode(v)
+	m.raw[id] = raw
+	for _, h := range m.writes {
+		h(m.infos[id], raw)
 	}
 }
 

@@ -34,7 +34,8 @@ type WriteFilter func(port PortRef, sig SignalID, old, proposed Word) Word
 // used by the runtime layer.
 type Bus struct {
 	sys     *System
-	values  []Word // raw (masked) representations, dense signal index
+	values  []Word  // raw (masked) representations, dense signal index
+	codecs  []Codec // the system's per-signal codecs, dense signal index
 	reads   []ReadHook
 	writes  []WriteHook
 	filters []WriteFilter
@@ -46,6 +47,7 @@ func NewBus(sys *System) *Bus {
 	b := &Bus{
 		sys:    sys,
 		values: make([]Word, sys.NumSignals()),
+		codecs: sys.codecs,
 	}
 	b.Reset()
 	return b
@@ -58,7 +60,7 @@ func (b *Bus) System() *System { return b.sys }
 // installed hooks.
 func (b *Bus) Reset() {
 	for i, sig := range b.sys.sigList {
-		b.values[i] = sig.Type.ToRaw(sig.Initial)
+		b.values[i] = b.codecs[i].Encode(sig.Initial)
 	}
 }
 
@@ -101,7 +103,7 @@ func (b *Bus) Peek(id SignalID) Word {
 
 // PeekIdx is Peek by dense signal index (System.SignalIndex).
 func (b *Bus) PeekIdx(i int) Word {
-	return b.sys.sigList[i].Type.FromRaw(b.values[i])
+	return b.codecs[i].Decode(b.values[i])
 }
 
 // PeekRaw returns the stored bit pattern of a signal without hooks.
@@ -118,48 +120,46 @@ func (b *Bus) Poke(id SignalID, v Word) {
 
 // PokeIdx is Poke by dense signal index.
 func (b *Bus) PokeIdx(i int, v Word) {
-	b.values[i] = b.sys.sigList[i].Type.ToRaw(v)
+	b.values[i] = b.codecs[i].Encode(v)
 }
 
 // PokeRaw overwrites the stored bit pattern without hooks, masking to the
 // signal width.
 func (b *Bus) PokeRaw(id SignalID, raw Word) {
 	i := b.index("PokeRaw", id)
-	b.values[i] = raw & b.sys.sigList[i].Type.Mask()
+	b.values[i] = b.codecs[i].Encode(raw)
 }
 
 // read performs a hooked port read, returning the interpreted value.
 func (b *Bus) read(port PortRef, id SignalID) Word {
-	i := b.index("read", id)
-	return b.readIdx(port, id, i, b.sys.sigList[i])
+	return b.readIdx(port, id, b.index("read", id))
 }
 
 // readIdx is the fast path of read: the caller has already resolved the
-// signal's dense index and descriptor (ModuleDecl caches both per port).
-func (b *Bus) readIdx(port PortRef, id SignalID, i int, sig *Signal) Word {
-	raw := b.values[i]
+// signal's dense index (ModuleDecl caches it per port).
+func (b *Bus) readIdx(port PortRef, id SignalID, i int) Word {
+	raw, c := b.values[i], b.codecs[i]
 	for _, h := range b.reads {
-		raw = h(port, id, raw) & sig.Type.Mask()
+		raw = c.Encode(h(port, id, raw))
 	}
-	return sig.Type.FromRaw(raw)
+	return c.Decode(raw)
 }
 
 // write performs a filtered, hooked port write of an interpreted value.
 func (b *Bus) write(port PortRef, id SignalID, v Word) {
-	i := b.index("write", id)
-	b.writeIdx(port, id, i, b.sys.sigList[i], v)
+	b.writeIdx(port, id, b.index("write", id), v)
 }
 
 // writeIdx is the fast path of write, mirroring readIdx.
-func (b *Bus) writeIdx(port PortRef, id SignalID, i int, sig *Signal, v Word) {
-	oldRaw := b.values[i]
+func (b *Bus) writeIdx(port PortRef, id SignalID, i int, v Word) {
+	oldRaw, c := b.values[i], b.codecs[i]
 	if len(b.filters) > 0 {
-		old := sig.Type.FromRaw(oldRaw)
+		old := c.Decode(oldRaw)
 		for _, f := range b.filters {
 			v = f(port, id, old, v)
 		}
 	}
-	newRaw := sig.Type.ToRaw(v)
+	newRaw := c.Encode(v)
 	b.values[i] = newRaw
 	for _, h := range b.writes {
 		h(port, id, oldRaw, newRaw)

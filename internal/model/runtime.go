@@ -34,7 +34,7 @@ func (e *Exec) In(index int) Word {
 		panic(fmt.Sprintf("model: module %s has no input port %d", d.ID, index))
 	}
 	return e.bus.readIdx(PortRef{Module: d.ID, Dir: DirIn, Index: index},
-		d.Inputs[index-1].Signal, d.inIdx[index-1], d.inSigs[index-1])
+		d.Inputs[index-1].Signal, d.inIdx[index-1])
 }
 
 // InBool reads an input port as a boolean.
@@ -48,7 +48,7 @@ func (e *Exec) Out(index int, v Word) {
 		panic(fmt.Sprintf("model: module %s has no output port %d", d.ID, index))
 	}
 	e.bus.writeIdx(PortRef{Module: d.ID, Dir: DirOut, Index: index},
-		d.Outputs[index-1].Signal, d.outIdx[index-1], d.outSigs[index-1], v)
+		d.Outputs[index-1].Signal, d.outIdx[index-1], v)
 }
 
 // OutBool writes a boolean output port.

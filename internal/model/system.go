@@ -26,10 +26,8 @@ type ModuleDecl struct {
 
 	// Dense resolution of the port bindings, filled by System.finalize:
 	// position p of these slices corresponds to port index p+1.
-	inIdx   []int
-	inSigs  []*Signal
-	outIdx  []int
-	outSigs []*Signal
+	inIdx  []int
+	outIdx []int
 	// edgeBase is the index in System.Edges of the module's first edge.
 	edgeBase int
 }
@@ -79,6 +77,7 @@ type System struct {
 
 	sigIdx  map[SignalID]int // signal -> dense index (declaration order)
 	sigList []*Signal        // dense index -> signal
+	codecs  []Codec          // dense index -> the signal's word codec
 
 	// Edge tables, built once by finalize. edges is in system edge
 	// order; byFrom and byTo hold the same edges grouped by the dense
@@ -97,23 +96,21 @@ type System struct {
 func (s *System) finalize() {
 	s.sigIdx = make(map[SignalID]int, len(s.sigOrder))
 	s.sigList = make([]*Signal, len(s.sigOrder))
+	s.codecs = make([]Codec, len(s.sigOrder))
 	for i, id := range s.sigOrder {
 		s.sigIdx[id] = i
 		s.sigList[i] = s.signals[id]
+		s.codecs[i] = s.sigList[i].Type.Codec()
 	}
 	for _, mid := range s.modOrder {
 		m := s.modules[mid]
 		m.inIdx = make([]int, len(m.Inputs))
-		m.inSigs = make([]*Signal, len(m.Inputs))
 		for i, pb := range m.Inputs {
 			m.inIdx[i] = s.sigIdx[pb.Signal]
-			m.inSigs[i] = s.signals[pb.Signal]
 		}
 		m.outIdx = make([]int, len(m.Outputs))
-		m.outSigs = make([]*Signal, len(m.Outputs))
 		for k, pb := range m.Outputs {
 			m.outIdx[k] = s.sigIdx[pb.Signal]
-			m.outSigs[k] = s.signals[pb.Signal]
 		}
 	}
 	s.buildEdges()

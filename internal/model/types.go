@@ -65,27 +65,43 @@ func (t Type) Mask() Word {
 // Canon canonicalizes a raw word to the type's domain: the value is
 // truncated to Width bits. The stored representation is always the masked
 // unsigned pattern; interpretation as signed happens in FromRaw.
-func (t Type) Canon(v Word) Word {
-	return v & t.Mask()
-}
+func (t Type) Canon(v Word) Word { return t.ToRaw(v) }
 
 // FromRaw interprets a stored (masked) bit pattern according to the type,
 // sign-extending two's-complement values for signed types.
-func (t Type) FromRaw(raw Word) Word {
-	raw &= t.Mask()
-	if t.Signed {
-		signBit := Word(1) << (t.Width - 1)
-		if raw&signBit != 0 {
-			raw -= Word(1) << t.Width
-		}
-	}
-	return raw
-}
+func (t Type) FromRaw(raw Word) Word { return t.Codec().Decode(raw) }
 
 // ToRaw converts an interpreted value to the stored masked representation.
-func (t Type) ToRaw(v Word) Word {
-	return v & t.Mask()
+func (t Type) ToRaw(v Word) Word { return t.Codec().Encode(v) }
+
+// Codec returns the type's precomputed word codec.
+func (t Type) Codec() Codec {
+	c := Codec{mask: t.Mask()}
+	if t.Signed {
+		c.sign = Word(1) << (t.Width - 1)
+	}
+	return c
 }
+
+// Codec is a Type's decode and encode with the width mask and sign bit
+// computed once. The bus and the memory map keep one per signal and per
+// cell, so a per-slot access costs a mask and, for signed types, one
+// xor and one subtraction.
+type Codec struct {
+	mask Word // the Width significant bits
+	sign Word // the sign bit of a signed type; 0 when unsigned
+}
+
+// Decode interprets a raw word: it keeps the significant bits and
+// sign-extends them. (raw ^ sign) - sign subtracts 2^Width exactly when
+// the sign bit is set and is the identity when sign is 0.
+func (c Codec) Decode(raw Word) Word {
+	raw &= c.mask
+	return (raw ^ c.sign) - c.sign
+}
+
+// Encode converts an interpreted value to the stored masked word.
+func (c Codec) Encode(v Word) Word { return v & c.mask }
 
 // MaxUnsigned returns the largest storable raw value.
 func (t Type) MaxUnsigned() Word {

@@ -250,6 +250,20 @@ func (s *Scheduler) compile() error {
 	return nil
 }
 
+// slotIndex returns the table slot to run now: the clock's slot, or
+// the selector signal's value modulo the table length. A selector
+// already in range, the usual case, costs no division.
+func (s *Scheduler) slotIndex() int {
+	if s.selIdx < 0 {
+		return s.slot
+	}
+	v, n := s.bus.PeekIdx(s.selIdx), s.selModulo
+	if 0 <= v && v < n {
+		return int(v)
+	}
+	return int(((v % n) + n) % n)
+}
+
 // RunSlot executes exactly one slot: pre hooks, always-modules, the
 // current slot's modules, post hooks; then advances time by SlotMs.
 func (s *Scheduler) RunSlot() error {
@@ -266,12 +280,7 @@ func (s *Scheduler) RunSlot() error {
 		for i := range s.every {
 			s.step(&s.every[i])
 		}
-		idx := s.slot
-		if s.selIdx >= 0 {
-			n := s.selModulo
-			idx = int(((s.bus.PeekIdx(s.selIdx) % n) + n) % n)
-		}
-		slot := s.slots[idx]
+		slot := s.slots[s.slotIndex()]
 		for i := range slot {
 			s.step(&slot[i])
 		}
@@ -280,12 +289,7 @@ func (s *Scheduler) RunSlot() error {
 		for i := range s.every {
 			s.filteredStep(&s.every[i])
 		}
-		idx := s.slot
-		if s.selIdx >= 0 {
-			n := s.selModulo
-			idx = int(((s.bus.PeekIdx(s.selIdx) % n) + n) % n)
-		}
-		slot := s.slots[idx]
+		slot := s.slots[s.slotIndex()]
 		for i := range slot {
 			s.filteredStep(&slot[i])
 		}

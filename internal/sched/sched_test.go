@@ -167,6 +167,56 @@ func TestSelectorDrivenSlotChoice(t *testing.T) {
 	}
 }
 
+// TestSignedSelectorWraps pins the selector's modulo for negative and
+// out-of-range values of a signed selector, next to the in-range fast
+// path: the slot is the selector value modulo the table length, taken
+// non-negative.
+func TestSignedSelectorWraps(t *testing.T) {
+	sys, err := model.NewBuilder("signedsel").
+		AddSignal("in", model.Uint(16), model.AsSystemInput()).
+		AddSignal("sel", model.Int(8)).
+		AddSignal("mid", model.Uint(16)).
+		AddSignal("out", model.Uint(16), model.AsSystemOutput(1)).
+		AddSignal("out2", model.Uint(16), model.AsSystemOutput(1)).
+		AddModule("CLK", model.In("in"), model.Out("sel")).
+		AddModule("A", model.In("in"), model.Out("mid")).
+		AddModule("B", model.In("mid"), model.Out("out")).
+		AddModule("C", model.In("mid"), model.Out("out2")).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := model.NewBus(sys)
+	mods := []*counter{{id: "A"}, {id: "B"}, {id: "C"}}
+	s := newSched(t, bus, Table{
+		SlotMs:   1,
+		Slots:    [][]model.ModuleID{{"A"}, {"B"}, {"C"}},
+		Selector: "sel",
+	}, mods[0], mods[1], mods[2])
+	for _, tc := range []struct {
+		sel  model.Word
+		want int
+	}{{0, 0}, {1, 1}, {2, 2}, {3, 0}, {127, 1}, {-1, 2}, {-3, 0}, {-128, 1}} {
+		before := make([]int, len(mods))
+		for i, m := range mods {
+			before[i] = m.steps
+		}
+		bus.Poke("sel", tc.sel)
+		if err := s.RunSlot(); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range mods {
+			want := 0
+			if i == tc.want {
+				want = 1
+			}
+			if ran := m.steps - before[i]; ran != want {
+				t.Errorf("selector %d: module %s ran %d times, want %d", tc.sel, m.id, ran, want)
+			}
+		}
+	}
+}
+
 func TestHookOrderingAndTimes(t *testing.T) {
 	sys := testSystem(t)
 	bus := model.NewBus(sys)

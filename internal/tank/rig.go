@@ -114,13 +114,18 @@ func NewRig(cfg Config) (*Rig, error) {
 	}
 
 	r := &Rig{Cfg: cfg, Sys: sys, Bus: bus, Mem: mem, Plant: plant, Sched: s}
+	idx := func(id model.SignalID) int {
+		i, _ := sys.SignalIndex(id)
+		return i
+	}
+	iLvlADC, iFlwCnt, iValve := idx(SigLvlADC), idx(SigFlwCnt), idx(SigValve)
 	s.OnPreSlot(func(nowMs int64) {
 		r.Plant.StepMs(1)
-		bus.Poke(SigLvlADC, r.Plant.LevelADC())
-		bus.Poke(SigFlwCnt, r.Plant.FlowCount())
+		bus.PokeIdx(iLvlADC, r.Plant.LevelADC())
+		bus.PokeIdx(iFlwCnt, r.Plant.FlowCount())
 	})
 	s.OnPostSlot(func(nowMs int64) {
-		r.Plant.SetValve(bus.Peek(SigValve))
+		r.Plant.SetValve(bus.PeekIdx(iValve))
 	})
 	return r, nil
 }
