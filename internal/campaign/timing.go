@@ -56,6 +56,13 @@ type Timing struct {
 	SlotsFastForwarded int64 `json:"slots_fast_forwarded,omitempty"`
 	SlotsDecided       int64 `json:"slots_stopped_decided,omitempty"`
 	SlotsConverged     int64 `json:"slots_stopped_converged,omitempty"`
+	// RunsDecided, RunsConverged and RunsHorizon count the permeability
+	// runs by how they ended; SlotsHorizon is the part of SlotsSimulated
+	// that the horizon runs executed. Zero (and omitted) like the slots.
+	RunsDecided   int64 `json:"runs_stopped_decided,omitempty"`
+	RunsConverged int64 `json:"runs_stopped_converged,omitempty"`
+	RunsHorizon   int64 `json:"runs_horizon,omitempty"`
+	SlotsHorizon  int64 `json:"slots_simulated_horizon,omitempty"`
 }
 
 // Extras carries the telemetry-derived additions to a timing row.
@@ -72,8 +79,9 @@ type Extras struct {
 	// Per-op allocation stats for solver benchmark rows.
 	AllocsPerOp     float64
 	AllocBytesPerOp float64
-	// Slot accounting of permeability runs.
+	// Slot and stop accounting of permeability runs.
 	SlotsSimulated, SlotsFastForwarded, SlotsDecided, SlotsConverged int64
+	RunsDecided, RunsConverged, RunsHorizon, SlotsHorizon            int64
 }
 
 // TelemetryMark brackets a stretch of work so its timing row reports
@@ -84,6 +92,8 @@ type TelemetryMark struct {
 	shardRetries                             int64
 	reconnects, stragglers                   int64
 	simulated, forwarded, decided, converged int64
+	runsDecided, runsConverged, runsHorizon  int64
+	horizonSlots                             int64
 	shard                                    []int64
 }
 
@@ -99,6 +109,10 @@ func MarkTelemetry(tel *obs.Telemetry) TelemetryMark {
 		m.forwarded = tel.SlotsFastForwarded.Value()
 		m.decided = tel.SlotsDecided.Value()
 		m.converged = tel.SlotsConverged.Value()
+		m.runsDecided = tel.RunsDecided.Value()
+		m.runsConverged = tel.RunsConverged.Value()
+		m.runsHorizon = tel.RunsHorizon.Value()
+		m.horizonSlots = tel.SlotsHorizon.Value()
 		m.shard = tel.ShardDur.Counts()
 	}
 	return m
@@ -118,6 +132,10 @@ func (m TelemetryMark) Fill(ext *Extras) {
 	ext.SlotsFastForwarded = tel.SlotsFastForwarded.Value() - m.forwarded
 	ext.SlotsDecided = tel.SlotsDecided.Value() - m.decided
 	ext.SlotsConverged = tel.SlotsConverged.Value() - m.converged
+	ext.RunsDecided = tel.RunsDecided.Value() - m.runsDecided
+	ext.RunsConverged = tel.RunsConverged.Value() - m.runsConverged
+	ext.RunsHorizon = tel.RunsHorizon.Value() - m.runsHorizon
+	ext.SlotsHorizon = tel.SlotsHorizon.Value() - m.horizonSlots
 	counts := tel.ShardDur.Counts()
 	for i := range counts {
 		if i < len(m.shard) {
@@ -176,6 +194,10 @@ func (c *Collector) ObserveExt(campaign string, runs int, wall time.Duration, ex
 	row.SlotsFastForwarded = ext.SlotsFastForwarded
 	row.SlotsDecided = ext.SlotsDecided
 	row.SlotsConverged = ext.SlotsConverged
+	row.RunsDecided = ext.RunsDecided
+	row.RunsConverged = ext.RunsConverged
+	row.RunsHorizon = ext.RunsHorizon
+	row.SlotsHorizon = ext.SlotsHorizon
 	if ext.RunsPlanned > 0 {
 		row.RunsPlanned = ext.RunsPlanned
 		row.RunsSaved = ext.RunsPlanned - runs

@@ -367,10 +367,14 @@ type permWatch struct {
 // bind resolves the watch on the run's rig: it watches the module's
 // outputs plus its other pure inputs (inputs that are neither the
 // injected signal nor also outputs), the cutoff signals of the
-// direct-errors-only rule.
+// direct-errors-only rule. The lists are sized once from the module's
+// port counts: idx and first share one allocation, gold has another.
 func (w *permWatch) bind(rig sut.Rig) {
 	w.rig, w.outs = rig, len(w.mod.Outputs)
 	sys := rig.System()
+	n := w.outs + len(w.mod.Inputs) // at least the watched signals
+	ints := make([]int, 2*n)
+	w.idx, w.first, w.gold = ints[:0:n], ints[n:n], make([][]model.Word, 0, n)
 	watch := func(s model.SignalID) {
 		i, _ := sys.SignalIndex(s)
 		w.idx = append(w.idx, i)

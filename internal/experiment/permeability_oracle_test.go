@@ -296,8 +296,9 @@ func TestCheckpointMatchesGoldenRun(t *testing.T) {
 }
 
 // TestPermeabilitySlotAccounting checks the per-run slot counters:
-// simulated plus skipped slots cover every run's golden horizon, and
-// the timing row carries the same split.
+// simulated plus skipped slots cover every run's golden horizon, every
+// run is counted once by how it ended, and the timing row carries the
+// same split.
 func TestPermeabilitySlotAccounting(t *testing.T) {
 	tel := obs.New(obs.Config{})
 	prev := obs.Install(tel)
@@ -338,5 +339,18 @@ func TestPermeabilitySlotAccounting(t *testing.T) {
 	}
 	if got := tel.SlotsSimulated.Value(); got != r.SlotsSimulated {
 		t.Errorf("counter says %d simulated slots, timing row %d", got, r.SlotsSimulated)
+	}
+	if got := r.RunsDecided + r.RunsConverged + r.RunsHorizon; got != int64(res.TotalRuns) {
+		t.Errorf("runs by stop: %d decided + %d converged + %d horizon = %d, want %d runs",
+			r.RunsDecided, r.RunsConverged, r.RunsHorizon, got, res.TotalRuns)
+	}
+	if r.RunsDecided <= 0 || r.RunsConverged <= 0 || r.RunsHorizon <= 0 {
+		t.Errorf("runs by stop: %d decided, %d converged, %d horizon; want each > 0", r.RunsDecided, r.RunsConverged, r.RunsHorizon)
+	}
+	if r.SlotsHorizon <= 0 || r.SlotsHorizon > r.SlotsSimulated {
+		t.Errorf("horizon runs simulated %d of %d slots", r.SlotsHorizon, r.SlotsSimulated)
+	}
+	if got := tel.RunsHorizon.Value(); got != r.RunsHorizon {
+		t.Errorf("counter says %d horizon runs, timing row %d", got, r.RunsHorizon)
 	}
 }

@@ -303,9 +303,10 @@ func (c *checkpointer) hook(nowMs int64) {
 	}
 }
 
-// countSlots accounts a whenDecided run's slots to telemetry: skipped
+// countSlots accounts a whenDecided run to telemetry: its slots skipped
 // by the fast-forward, simulated, and skipped after the run was decided
-// or converged.
+// or converged, and how it ended (decided, converged, or at the
+// horizon, with the slots a horizon run simulated).
 func countSlots(start, end, horizonMs int64, stop stopReason) {
 	tel := obs.Active()
 	if tel == nil {
@@ -316,8 +317,13 @@ func countSlots(start, end, horizonMs int64, stop stopReason) {
 	switch stop {
 	case stopDecided:
 		tel.SlotsDecided.Add(horizonMs - end)
+		tel.RunsDecided.Inc()
 	case stopConverged:
 		tel.SlotsConverged.Add(horizonMs - end)
+		tel.RunsConverged.Inc()
+	default:
+		tel.RunsHorizon.Inc()
+		tel.SlotsHorizon.Add(end - start)
 	}
 }
 

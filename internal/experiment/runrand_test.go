@@ -112,9 +112,11 @@ func FuzzRunRandMatchesMathRand(f *testing.F) {
 	})
 }
 
-// TestPermeabilityExecuteAllocs guards the per-run seeding: one
-// permeability Execute must not allocate a seeded 607-word math/rand
-// source (about 4.9 KB).
+// TestPermeabilityExecuteAllocs guards the per-run seeding and the
+// watch lists: one permeability Execute must not allocate a seeded
+// 607-word math/rand source (about 4.9 KB), and it makes at most
+// maxPermRunAllocs allocations (the watch's lists are sized once, not
+// grown by append).
 func TestPermeabilityExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -137,4 +139,11 @@ func TestPermeabilityExecuteAllocs(t *testing.T) {
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 3000 {
 		t.Errorf("permeability Execute allocates %d B/run, want well under 4 KB (a seeded math/rand source alone is ~4.9 KB)", perRun)
 	}
+	if perRun := (after.Mallocs - before.Mallocs) / runs; perRun > maxPermRunAllocs {
+		t.Errorf("permeability Execute makes %d allocations/run, want at most %d", perRun, maxPermRunAllocs)
+	}
 }
+
+// maxPermRunAllocs is what one permeability Execute allocates on a
+// warm rig pool.
+const maxPermRunAllocs = 11

@@ -60,9 +60,15 @@ func (f *ReadFlip) Applied() (bool, int64) { return f.applied, f.appliedAt }
 // Injector drives one ReadFlip with time gating. Attach installs Hook
 // as a pre-slot hook (it updates the clock the read hook consults) and
 // ReadHook on the bus.
+//
+// Once the flip has applied, the read hook can only return what it is
+// given, so the first pre-slot hook after that removes it from the bus:
+// the rest of the run reads ports without hook dispatch.
 type Injector struct {
 	flip  *ReadFlip
 	nowMs int64
+	bus   *model.Bus // the bus Attach installed the read hook on, until removed
+	read  model.ReadHookID
 }
 
 // NewInjector wraps a ReadFlip for installation.
@@ -70,8 +76,15 @@ func NewInjector(flip *ReadFlip) *Injector {
 	return &Injector{flip: flip}
 }
 
-// Hook is the scheduler pre-slot hook maintaining the injector's clock.
-func (in *Injector) Hook(nowMs int64) { in.nowMs = nowMs }
+// Hook is the scheduler pre-slot hook maintaining the injector's clock;
+// it removes Attach's read hook once the flip has applied.
+func (in *Injector) Hook(nowMs int64) {
+	in.nowMs = nowMs
+	if in.bus != nil && in.flip.applied {
+		in.bus.RemoveRead(in.read)
+		in.bus = nil
+	}
+}
 
 // ReadHook is the bus read hook applying the one-shot flip once due.
 func (in *Injector) ReadHook() model.ReadHook {
@@ -91,7 +104,7 @@ func (in *Injector) Flip() *ReadFlip { return in.flip }
 // Attach installs the clock hook and the read hook.
 func (in *Injector) Attach(s *sched.Scheduler, bus *model.Bus, _ *memmap.Map) {
 	s.OnPreSlot(in.Hook)
-	bus.OnRead(in.ReadHook())
+	in.bus, in.read = bus, bus.OnRead(in.ReadHook())
 }
 
 // Applied reports whether the flip was observed (1 or 0 corruptions)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
 
 func fiSystem(t *testing.T) (*model.System, *model.Bus) {
@@ -252,5 +253,83 @@ func TestTargetDescribe(t *testing.T) {
 	ds := MemTarget{Kind: TargetBusSignal, Signal: "mid", Bit: 0}.Describe(&mem)
 	if !strings.Contains(ds, "mid") {
 		t.Errorf("Describe() = %q", ds)
+	}
+}
+
+// passThrough copies its input port 1 to its output port 1 and records
+// every value it read.
+type passThrough struct {
+	id   model.ModuleID
+	seen []model.Word
+}
+
+func (p *passThrough) ModuleID() model.ModuleID { return p.id }
+func (p *passThrough) Reset()                   { p.seen = nil }
+func (p *passThrough) Step(e *model.Exec) {
+	v := e.In(1)
+	p.seen = append(p.seen, v)
+	e.Out(1, v)
+}
+
+// TestInjectorRemovesItsSpentReadHook attaches a read flip between two
+// other bus read hooks and runs the scheduler: the flip lands exactly
+// once, the other hooks run in installation order on every port read
+// before and after it, and once spent the injector's own hook is gone
+// (re-arming the flip by hand corrupts nothing).
+func TestInjectorRemovesItsSpentReadHook(t *testing.T) {
+	_, bus := fiSystem(t)
+	bus.Poke("in", 0b100)
+	s, err := sched.New(bus, sched.Table{SlotMs: 1, Slots: [][]model.ModuleID{{"A", "B"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := &passThrough{id: "A"}, &passThrough{id: "B"}
+	for _, r := range []model.Runnable{a, b} {
+		if err := s.Register(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var order []string
+	bus.OnRead(func(port model.PortRef, _ model.SignalID, raw model.Word) model.Word {
+		order = append(order, "before:"+string(port.Module))
+		return raw
+	})
+	flip := &ReadFlip{Port: model.PortRef{Module: "A", Dir: model.DirIn, Index: 1}, Bit: 0, FromMs: 5}
+	inj := NewInjector(flip)
+	inj.Attach(s, bus, nil)
+	bus.OnRead(func(port model.PortRef, _ model.SignalID, raw model.Word) model.Word {
+		order = append(order, "after:"+string(port.Module))
+		return raw
+	})
+	if err := s.RunFor(10); err != nil {
+		t.Fatal(err)
+	}
+	if n, at := inj.Applied(); n != 1 || at != 5 {
+		t.Fatalf("Applied() = %d, %d; want 1, 5", n, at)
+	}
+	for k, v := range a.seen {
+		want := model.Word(0b100)
+		if k == 5 {
+			want = 0b101
+		}
+		if v != want {
+			t.Errorf("A read %#b at %d ms, want %#b", v, k, want)
+		}
+	}
+	if want := strings.Repeat("before:A after:A before:B after:B ", 10); strings.Join(order, " ")+" " != want {
+		t.Errorf("hook calls %q, want %q", order, want)
+	}
+
+	flip.applied, flip.FromMs = false, 0
+	if err := s.RunFor(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range a.seen[10:] {
+		if got != 0b100 {
+			t.Errorf("a re-armed flip corrupted a read (%#b): the spent hook is still installed", got)
+		}
+	}
+	if n := strings.Count(strings.Join(order, " "), "before:A"); n != 12 {
+		t.Errorf("the hook installed before the injector ran %d times over 12 slots", n)
 	}
 }

@@ -85,6 +85,7 @@ type Map struct {
 	init   []model.Word        // initial bit patterns, by cell ID
 	codecs []model.Codec       // the cell types' word codecs, by cell ID
 	infos  []CellInfo          // metadata, by cell ID
+	vars   []*Var              // the Var of every cell, by cell ID
 	names  map[string]struct{} // "owner.name" uniqueness
 	reads  []ReadHook
 	writes []WriteHook
@@ -113,7 +114,13 @@ func (m *Map) Alloc(owner, name string, region Region, t model.Type, initial mod
 	m.init = append(m.init, w)
 	m.codecs = append(m.codecs, c)
 	m.infos = append(m.infos, CellInfo{ID: id, Owner: owner, Name: name, Region: region, Type: t, Init: w})
-	return &Var{m: m, id: id}
+	v := &Var{m: m, id: id}
+	v.mask, v.sign = c.Bits()
+	m.vars = append(m.vars, v)
+	for i, v := range m.vars { // append may have moved the words
+		v.w = &m.raw[i]
+	}
+	return v
 }
 
 // AllocRAM allocates a persistent state variable.
@@ -229,53 +236,83 @@ func (m *Map) check(id CellID) {
 	}
 }
 
-func (m *Map) read(id CellID) model.Word {
-	raw, c := m.raw[id], m.codecs[id]
+// Var is a module-owned variable backed by a memory cell. Get goes
+// through read hooks (so transient injection is observed); Set stores
+// directly and then notifies write hooks.
+//
+// A Var points at its word in the map's dense storage (Alloc re-points
+// every Var after each append, which may move the storage; Reset,
+// RestoreRaw and the mutators write in place) and carries its cell's
+// codec bits, so with no hook installed Get and Set inline to one load
+// or store. They must stay within the inlining budget
+// (TestVarFastPathInlines).
+type Var struct {
+	w          *model.Word
+	mask, sign model.Word // the cell codec's Bits
+	m          *Map
+	id         CellID
+}
+
+// Get reads the variable through read hooks.
+func (v *Var) Get() model.Word {
+	if len(v.m.reads) == 0 {
+		return (*v.w&v.mask ^ v.sign) - v.sign // Codec.Decode
+	}
+	return v.getHooked()
+}
+
+// getHooked is Get with read hooks installed: hooks chain in
+// installation order, and each hook's result is masked to the cell
+// width before the next hook sees it.
+func (v *Var) getHooked() model.Word {
+	m, c, raw := v.m, v.m.codecs[v.id], *v.w
 	for _, h := range m.reads {
-		raw = c.Encode(h(m.infos[id], raw))
+		raw = c.Encode(h(m.infos[v.id], raw))
 	}
 	return c.Decode(raw)
 }
 
-func (m *Map) write(id CellID, v model.Word) {
-	raw := m.codecs[id].Encode(v)
-	m.raw[id] = raw
-	for _, h := range m.writes {
-		h(m.infos[id], raw)
+// GetBool reads the variable as a boolean. A word decodes to zero
+// exactly when its significant bits are zero.
+func (v *Var) GetBool() bool {
+	if len(v.m.reads) == 0 {
+		return *v.w&v.mask != 0
 	}
+	return v.getHooked() != 0
 }
-
-// Var is a module-owned variable backed by a memory cell. Get goes
-// through read hooks (so transient injection is observed); Set stores
-// directly.
-type Var struct {
-	m  *Map
-	id CellID
-}
-
-// Get reads the variable through read hooks.
-func (v *Var) Get() model.Word { return v.m.read(v.id) }
-
-// GetBool reads the variable as a boolean.
-func (v *Var) GetBool() bool { return v.m.read(v.id) != 0 }
 
 // Set writes the variable.
-func (v *Var) Set(w model.Word) { v.m.write(v.id, w) }
+func (v *Var) Set(x model.Word) {
+	if len(v.m.writes) == 0 {
+		*v.w = x & v.mask // Codec.Encode
+		return
+	}
+	v.setHooked(x)
+}
+
+// setHooked is Set with write hooks installed: they observe the stored
+// word in installation order.
+func (v *Var) setHooked(x model.Word) {
+	m, raw := v.m, x&v.mask
+	*v.w = raw
+	for _, h := range m.writes {
+		h(m.infos[v.id], raw)
+	}
+}
 
 // SetBool writes a boolean value.
 func (v *Var) SetBool(b bool) {
+	var x model.Word
 	if b {
-		v.m.write(v.id, 1)
-	} else {
-		v.m.write(v.id, 0)
+		x = 1
 	}
+	v.Set(x)
 }
 
 // Add adds delta to the variable (with width wrap-around) and returns the
 // new value.
 func (v *Var) Add(delta model.Word) model.Word {
-	nv := v.Get() + delta
-	v.Set(nv)
+	v.Set(v.Get() + delta)
 	return v.m.Peek(v.id)
 }
 

@@ -33,12 +33,14 @@ type WriteFilter func(port PortRef, sig SignalID, old, proposed Word) Word
 // the edge and the index-based methods are the allocation-free fast path
 // used by the runtime layer.
 type Bus struct {
-	sys     *System
-	values  []Word  // raw (masked) representations, dense signal index
-	codecs  []Codec // the system's per-signal codecs, dense signal index
-	reads   []ReadHook
-	writes  []WriteHook
-	filters []WriteFilter
+	sys      *System
+	values   []Word  // raw (masked) representations, dense signal index
+	codecs   []Codec // the system's per-signal codecs, dense signal index
+	reads    []ReadHook
+	readIDs  []ReadHookID // reads[i] was installed as readIDs[i]
+	lastRead ReadHookID   // the last ID OnRead handed out
+	writes   []WriteHook
+	filters  []WriteFilter
 }
 
 // NewBus creates a bus for the system with every signal at its declared
@@ -64,9 +66,29 @@ func (b *Bus) Reset() {
 	}
 }
 
+// ReadHookID names one installation of a read hook (Bus.OnRead).
+type ReadHookID uint64
+
 // OnRead installs a read hook. Hooks run in installation order, each
-// seeing the previous hook's result.
-func (b *Bus) OnRead(h ReadHook) { b.reads = append(b.reads, h) }
+// seeing the previous hook's result. The returned ID removes this
+// installation with RemoveRead.
+func (b *Bus) OnRead(h ReadHook) ReadHookID {
+	b.lastRead++
+	b.reads = append(b.reads, h)
+	b.readIDs = append(b.readIDs, b.lastRead)
+	return b.lastRead
+}
+
+// RemoveRead removes the read hook installed as id; the other hooks keep
+// their order. It does nothing when that hook is already gone (removed,
+// or cleared by ClearHooks). It must not be called while a read hook
+// runs.
+func (b *Bus) RemoveRead(id ReadHookID) {
+	if i := slices.Index(b.readIDs, id); i >= 0 {
+		b.reads = slices.Delete(b.reads, i, i+1)
+		b.readIDs = slices.Delete(b.readIDs, i, i+1)
+	}
+}
 
 // OnWrite installs a write hook. Hooks run in installation order.
 func (b *Bus) OnWrite(h WriteHook) { b.writes = append(b.writes, h) }
@@ -81,6 +103,7 @@ func (b *Bus) OnWriteFilter(f WriteFilter) { b.filters = append(b.filters, f) }
 // allocate.
 func (b *Bus) ClearHooks() {
 	b.reads = b.reads[:0]
+	b.readIDs = b.readIDs[:0]
 	b.writes = b.writes[:0]
 	b.filters = b.filters[:0]
 }
@@ -130,13 +153,9 @@ func (b *Bus) PokeRaw(id SignalID, raw Word) {
 	b.values[i] = b.codecs[i].Encode(raw)
 }
 
-// read performs a hooked port read, returning the interpreted value.
-func (b *Bus) read(port PortRef, id SignalID) Word {
-	return b.readIdx(port, id, b.index("read", id))
-}
-
-// readIdx is the fast path of read: the caller has already resolved the
-// signal's dense index (ModuleDecl caches it per port).
+// readIdx performs a hooked port read of the signal at dense index i,
+// returning the interpreted value; Exec.In calls it when read hooks are
+// installed.
 func (b *Bus) readIdx(port PortRef, id SignalID, i int) Word {
 	raw, c := b.values[i], b.codecs[i]
 	for _, h := range b.reads {
@@ -145,12 +164,9 @@ func (b *Bus) readIdx(port PortRef, id SignalID, i int) Word {
 	return c.Decode(raw)
 }
 
-// write performs a filtered, hooked port write of an interpreted value.
-func (b *Bus) write(port PortRef, id SignalID, v Word) {
-	b.writeIdx(port, id, b.index("write", id), v)
-}
-
-// writeIdx is the fast path of write, mirroring readIdx.
+// writeIdx performs a filtered, hooked port write of an interpreted
+// value to the signal at dense index i; Exec.Out calls it when write
+// hooks or filters are installed.
 func (b *Bus) writeIdx(port PortRef, id SignalID, i int, v Word) {
 	oldRaw, c := b.values[i], b.codecs[i]
 	if len(b.filters) > 0 {

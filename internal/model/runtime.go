@@ -27,28 +27,38 @@ func (e *Exec) Bind(decl *ModuleDecl, nowMs int64) {
 }
 
 // In reads the module's input port index (1-based) through the bus read
-// hooks (where transient fault injection attaches).
+// hooks (where transient fault injection attaches). With no read hook
+// installed it decodes the stored word directly.
 func (e *Exec) In(index int) Word {
-	d := e.decl
+	d, b := e.decl, e.bus
 	if index < 1 || index > len(d.Inputs) {
 		panic(fmt.Sprintf("model: module %s has no input port %d", d.ID, index))
 	}
-	return e.bus.readIdx(PortRef{Module: d.ID, Dir: DirIn, Index: index},
-		d.Inputs[index-1].Signal, d.inIdx[index-1])
+	i := d.inIdx[index-1]
+	if len(b.reads) == 0 {
+		return b.codecs[i].Decode(b.values[i])
+	}
+	return b.readIdx(PortRef{Module: d.ID, Dir: DirIn, Index: index}, d.Inputs[index-1].Signal, i)
 }
 
 // InBool reads an input port as a boolean.
 func (e *Exec) InBool(index int) bool { return e.In(index) != 0 }
 
 // Out writes the module's output port index (1-based) through the bus
-// write hooks (where the trace recorder attaches).
+// write filters and hooks (where recovery wrappers and the trace
+// recorder attach). With neither installed it stores the encoded word
+// directly.
 func (e *Exec) Out(index int, v Word) {
-	d := e.decl
+	d, b := e.decl, e.bus
 	if index < 1 || index > len(d.Outputs) {
 		panic(fmt.Sprintf("model: module %s has no output port %d", d.ID, index))
 	}
-	e.bus.writeIdx(PortRef{Module: d.ID, Dir: DirOut, Index: index},
-		d.Outputs[index-1].Signal, d.outIdx[index-1], v)
+	i := d.outIdx[index-1]
+	if len(b.writes) == 0 && len(b.filters) == 0 {
+		b.values[i] = b.codecs[i].Encode(v)
+		return
+	}
+	b.writeIdx(PortRef{Module: d.ID, Dir: DirOut, Index: index}, d.Outputs[index-1].Signal, i, v)
 }
 
 // OutBool writes a boolean output port.

@@ -103,6 +103,10 @@ func (c Codec) Decode(raw Word) Word {
 // Encode converts an interpreted value to the stored masked word.
 func (c Codec) Encode(v Word) Word { return v & c.mask }
 
+// Bits returns the width mask and the sign bit (0 when unsigned), for a
+// holder of one word that spells Decode and Encode out inline.
+func (c Codec) Bits() (mask, sign Word) { return c.mask, c.sign }
+
 // MaxUnsigned returns the largest storable raw value.
 func (t Type) MaxUnsigned() Word {
 	return t.Mask()

@@ -98,6 +98,13 @@ type Telemetry struct {
 	SlotsFastForwarded *Counter // slots before the restored golden checkpoint
 	SlotsDecided       *Counter // slots left once the outcome was decided
 	SlotsConverged     *Counter // slots left once the run rejoined its golden run
+	// How each permeability run ended. The three run counts sum to the
+	// runs; SlotsHorizon is the part of SlotsSimulated that horizon runs
+	// executed.
+	RunsDecided   *Counter // runs stopped once the outcome was decided
+	RunsConverged *Counter // runs stopped once they rejoined their golden run
+	RunsHorizon   *Counter // runs that reached the golden horizon
+	SlotsHorizon  *Counter // slots executed by runs that reached the horizon
 }
 
 // Config selects the optional exposure surfaces of a Telemetry.
@@ -158,6 +165,10 @@ func New(cfg Config) *Telemetry {
 		SlotsFastForwarded: r.Counter("repro_perm_slots_fast_forwarded_total"),
 		SlotsDecided:       r.Counter("repro_perm_slots_stopped_decided_total"),
 		SlotsConverged:     r.Counter("repro_perm_slots_stopped_converged_total"),
+		RunsDecided:        r.Counter("repro_perm_runs_stopped_decided_total"),
+		RunsConverged:      r.Counter("repro_perm_runs_stopped_converged_total"),
+		RunsHorizon:        r.Counter("repro_perm_runs_horizon_total"),
+		SlotsHorizon:       r.Counter("repro_perm_slots_simulated_horizon_total"),
 	}
 	if cfg.EventSink != nil {
 		t.Events = NewEventLog(cfg.EventSink)
