@@ -57,7 +57,8 @@ type row struct {
 
 // deriveOutputs fills the profile fields of an outputs row. The max
 // and the criticality fold run over the outputs in declaration order,
-// as core.BuildProfile's do.
+// as core.BuildProfile's and core.CriticalityWith's do, so a signal
+// whose output impacts are all exact gets the tree's criticality bits.
 func (t *topology) deriveOutputs(r *row) {
 	r.impactOn = make(map[model.SignalID]float64, len(r.vals))
 	critProd := 1.0
@@ -179,9 +180,10 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 }
 
 // rowFor returns the memoized impact row for one source, solving it on
-// a miss: every signal, or with outputs set only the system outputs.
-// The returned row is owned by the cache — callers must not mutate it.
-func (e *Engine) rowFor(sc *sysCache, ctx *context, src int32, outputs bool) *row {
+// a miss with the powers pw of ctx: every signal, or with outputs set
+// only the system outputs. The returned row is owned by the cache —
+// callers must not mutate it.
+func (e *Engine) rowFor(sc *sysCache, ctx *context, pw *powers, src int32, outputs bool) *row {
 	k := rowKey{src: src, cone: ctx.coneKey[src], acyclic: ctx.acyclicFrom(src), outputs: outputs}
 	e.mu.Lock()
 	if r, ok := sc.rows[k]; ok {
@@ -192,11 +194,7 @@ func (e *Engine) rowFor(sc *sysCache, ctx *context, src int32, outputs bool) *ro
 	e.misses++
 	e.mu.Unlock()
 
-	dst := sc.top.all
-	if outputs {
-		dst = sc.top.outIdx
-	}
-	vals, residual := ctx.solveRow(src, dst, e.params)
+	vals, residual := ctx.solveRow(src, outputs, pw, e.params)
 	r := &row{vals: vals}
 	if outputs {
 		sc.top.deriveOutputs(r)
@@ -218,6 +216,13 @@ func (e *Engine) rowFor(sc *sysCache, ctx *context, src int32, outputs bool) *ro
 	return r
 }
 
+// oneRow is rowFor for a call that reads a single row.
+func (e *Engine) oneRow(sc *sysCache, ctx *context, src int32, outputs bool) *row {
+	pw := newPowers(ctx)
+	defer pw.release()
+	return e.rowFor(sc, ctx, pw, src, outputs)
+}
+
 // Impacts returns I(from → t) for every signal t of the system, indexed
 // by the system's dense signal order (model.System.SignalIndex).
 func (e *Engine) Impacts(p *core.Permeability, from model.SignalID) ([]float64, error) {
@@ -229,7 +234,7 @@ func (e *Engine) Impacts(p *core.Permeability, from model.SignalID) ([]float64, 
 	if !ok {
 		return nil, fmt.Errorf("analytic: unknown signal %q", from)
 	}
-	row := e.rowFor(sc, ctx, int32(src), false)
+	row := e.oneRow(sc, ctx, int32(src), false)
 	return append([]float64(nil), row.vals...), nil
 }
 
@@ -251,9 +256,9 @@ func (e *Engine) Impact(p *core.Permeability, from, to model.SignalID) (float64,
 		return 0, fmt.Errorf("analytic: unknown signal %q", to)
 	}
 	if o := sc.top.outOrd[dst]; o >= 0 {
-		return e.rowFor(sc, ctx, int32(src), true).vals[o], nil
+		return e.oneRow(sc, ctx, int32(src), true).vals[o], nil
 	}
-	return e.rowFor(sc, ctx, int32(src), false).vals[dst], nil
+	return e.oneRow(sc, ctx, int32(src), false).vals[dst], nil
 }
 
 // Diag describes how the engine solved a matrix.

@@ -12,7 +12,8 @@ import (
 // FuzzAnalyticMatchesTree builds layered DAGs from the fuzz bytes and
 // checks the analytic profile against the tree-based reference:
 // exposure and witness permeability bit-equal, every impact reached
-// over at most one positive-weight path bit-equal to core.Impact, other
+// over at most one positive-weight path bit-equal to core.Impact (and
+// the criticality of a signal whose output impacts all are), other
 // impacts and criticality within 1e-9 (widened by the solver's reported
 // residual when a path weight near 1 leaves the series unconverged),
 // and the three rankings identical up to the order of signals whose
@@ -74,6 +75,9 @@ func FuzzAnalyticMatchesTree(f *testing.F) {
 			}
 			if math.Abs(w.Criticality-h.Criticality) > eps {
 				t.Errorf("%s: criticality %v, want %v", s, h.Criticality, w.Criticality)
+			}
+			if !multiPath[s] && h.Criticality != w.Criticality {
+				t.Errorf("%s: single-path criticality %v, tree %v (must be bit-equal)", s, h.Criticality, w.Criticality)
 			}
 		}
 		for _, m := range []core.Metric{core.ByExposure, core.ByImpact, core.ByCriticality} {

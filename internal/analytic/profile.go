@@ -45,10 +45,12 @@ func (e *Engine) Profile(p *core.Permeability) (*core.Profile, error) {
 		}
 	}
 
+	pw := newPowers(ctx)
+	defer pw.release()
 	signals := make([]core.SignalProfile, 0, n)
 	for s := 0; s < n; s++ {
 		sig := sys.SignalAt(s)
-		row := e.rowFor(sc, ctx, int32(s), true)
+		row := e.rowFor(sc, ctx, pw, int32(s), true)
 		signals = append(signals, core.SignalProfile{
 			Signal:            sig.ID,
 			Kind:              sig.Kind,

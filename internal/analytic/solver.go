@@ -3,6 +3,7 @@ package analytic
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -147,6 +148,11 @@ type shape struct {
 
 	words int      // bitset row width
 	reach []uint64 // n rows of `words` words: signals reachable from s (incl. s)
+	// outReach holds n rows of outWords words: the system outputs, by
+	// declaration ordinal, that s reaches. An outputs row prunes its live
+	// edges against it, one AND per edge with up to 64 outputs.
+	outWords int
+	outReach []uint64
 
 	// coneMods holds n rows of modWords words: the modules with an input
 	// that s reaches, exactly the modules whose sub-matrix can influence
@@ -258,6 +264,16 @@ func compileShape(top *topology, perm []float64) *shape {
 	}
 
 	sh.buildReach(top, outAdj)
+	sh.outWords = (len(top.outIdx) + 63) / 64
+	sh.outReach = make([]uint64, n*sh.outWords)
+	for v := int32(0); v < int32(n); v++ {
+		row := sh.outReach[int(v)*sh.outWords : (int(v)+1)*sh.outWords]
+		for o, t := range top.outIdx {
+			if sh.reaches(v, t) {
+				row[o>>6] |= 1 << (uint(o) & 63)
+			}
+		}
+	}
 
 	sh.modWords = (len(top.modIns) + 63) / 64
 	sh.coneMods = make([]uint64, n*sh.modWords)
@@ -405,33 +421,26 @@ func (c *shape) reaches(src, dst int32) bool {
 	return c.reach[int(src)*c.words+int(dst>>6)]&(1<<(uint(dst)&63)) != 0
 }
 
-// reachesAny reports whether v reaches a signal of the bitset set.
-func (c *shape) reachesAny(v int32, set []uint64) bool {
-	row := c.reach[int(v)*c.words : (int(v)+1)*c.words]
-	for w, x := range set {
-		if row[w]&x != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // acyclicFrom reports whether the active subgraph reachable from src
 // is acyclic, i.e. whether the exact series solver applies to its row.
-func (c *shape) acyclicFrom(src int32) bool { return !c.reachesAny(src, c.cyclic) }
+func (c *shape) acyclicFrom(src int32) bool { return !meets(c.reach, c.words, src, c.cyclic) }
 
-// solveRow computes Eq. 2 impacts from one source to the destinations
-// dst (topology.all for a full row): row[i] is the impact on dst[i],
-// and the series stops once those destinations have converged. The
-// returned residual is 0 when the solver converged within Params and
-// otherwise bounds the remaining error.
-func (c *context) solveRow(src int32, dst []int32, par Params) ([]float64, float64) {
+// solveRow computes Eq. 2 impacts from one source: with outputs set,
+// on the system outputs in declaration order, otherwise on every signal
+// in dense order. The series stops once those destinations have
+// converged and takes its perm^k from pw. The returned residual is 0
+// when the solver converged within Params and otherwise bounds the
+// remaining error.
+func (c *context) solveRow(src int32, outputs bool, pw *powers, par Params) ([]float64, float64) {
 	if c.acyclicFrom(src) {
-		return c.solveRowSeries(src, dst, par)
+		return c.solveRowSeries(src, outputs, pw, par)
 	}
 	row, residual := c.solveRowFixpoint(src, par)
-	out := make([]float64, len(dst))
-	for i, t := range dst {
+	if !outputs {
+		return row, residual
+	}
+	out := make([]float64, len(c.top.outIdx))
+	for i, t := range c.top.outIdx {
 		out[i] = row[t]
 	}
 	return out, residual
@@ -447,6 +456,80 @@ func scratch[T any](buf []T, n int) []T {
 	b := buf[:n]
 	clear(b)
 	return b
+}
+
+// maxPowerFloats bounds a powers table: past it, a row forms its
+// further powers itself.
+const maxPowerFloats = 1 << 15
+
+// powers serves perm^k of every active edge, k = 1, 2, …, to the rows
+// solved in one call (one Profile, or one Impacts or Impact row), so
+// the rows share each product instead of each forming it again. Term k
+// of edge a is term k−1 times perm(a), the left-to-right product a row
+// forming its own powers computes, so the bits do not depend on who
+// formed them. The table grows on demand up to maxPowerFloats and lives
+// only for the call: release hands its storage to the next call, never
+// to a cached context.
+type powers struct {
+	act  []float64 // term 1: perm of each active edge, in shape order
+	more []float64 // terms 2, 3, … back to back
+}
+
+var powersPool = sync.Pool{New: func() any { return new(powers) }}
+
+// newPowers returns an empty table over c's active edges.
+func newPowers(c *context) *powers {
+	pw := powersPool.Get().(*powers)
+	pw.act, pw.more = c.actPerm, pw.more[:0]
+	return pw
+}
+
+// release returns the table's storage for reuse; pw must not be used
+// after it.
+func (pw *powers) release() {
+	pw.act = nil
+	powersPool.Put(pw)
+}
+
+// term returns perm^k of every active edge, or false once the table
+// would grow past maxPowerFloats.
+func (pw *powers) term(k int) ([]float64, bool) {
+	n := len(pw.act)
+	if k == 1 {
+		return pw.act, true
+	}
+	for len(pw.more) < (k-1)*n {
+		if len(pw.more)+n > maxPowerFloats {
+			return nil, false
+		}
+		prev := pw.act
+		if len(pw.more) > 0 {
+			prev = pw.more[len(pw.more)-n:]
+		}
+		for a, v := range prev {
+			pw.more = append(pw.more, v*pw.act[a])
+		}
+	}
+	return pw.more[(k-2)*n : (k-1)*n], true
+}
+
+// liveEdge is one entry of a row's live list: an active edge's
+// endpoints and its position in shape order, which indexes its perm^k.
+type liveEdge struct{ from, to, at int32 }
+
+// meets reports whether signal v's row of reach (words wide) shares a
+// bit with set.
+func meets(reach []uint64, words int, v int32, set []uint64) bool {
+	if words == 1 {
+		return reach[v]&set[0] != 0
+	}
+	row := reach[int(v)*words : (int(v)+1)*words]
+	for w, x := range set {
+		if row[w]&x != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // solveRowSeries evaluates Eq. 2 exactly on an acyclic active graph
@@ -465,12 +548,18 @@ func scratch[T any](buf []T, n int) []T {
 // exactly 1; a destination with exactly one path takes the path's
 // weight through Eq. 2's own one-factor fold, bit-equal to the tree.
 //
-// Only the destinations of dst enter the series. A destination's S_k
+// Only the destinations in scope enter the series. A destination's S_k
 // sums only edges of its own cone, in the same order whatever else is
 // pending, and its stop test reads only its own S_k, so its value does
 // not depend on the scope.
-func (c *context) solveRowSeries(src int32, dst []int32, par Params) ([]float64, float64) {
+func (c *context) solveRowSeries(src int32, outputs bool, pw *powers, par Params) ([]float64, float64) {
 	n := c.top.n
+	// Bit i of a pending set stands for dst[i]; a signal's row of reach
+	// marks the destinations it reaches.
+	dst, reach, words := c.top.all, c.reach, c.words
+	if outputs {
+		dst, reach, words = c.top.outIdx, c.outReach, c.outWords
+	}
 
 	var fbuf [3 * 128]float64
 	f := scratch(fbuf[:], 3*n)
@@ -493,50 +582,63 @@ func (c *context) solveRowSeries(src int32, dst []int32, par Params) ([]float64,
 		paths[to] = min(2, paths[to]+paths[fr])
 	}
 
-	// Destinations the series must resolve: in scope and reached over
-	// two or more paths of weight strictly between 0 and 1.
+	// Destinations the series must resolve, by position in dst: reached
+	// over two or more paths of weight strictly between 0 and 1.
 	var wbuf [4]uint64
-	pendingSet := scratch(wbuf[:], c.words)
+	pendingSet := scratch(wbuf[:], words)
 	var dbuf [128]int32
 	pending := dbuf[:0]
-	for _, t := range dst {
+	for i, t := range dst {
 		if m := maxw[t]; t != src && m > 0 && m < 1 && paths[t] >= 2 {
-			pending = append(pending, t)
-			pendingSet[t>>6] |= 1 << (uint(t) & 63)
+			pending = append(pending, int32(i))
+			pendingSet[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
 
 	// Live edges: reachable from src and leading to a pending
-	// destination, with their perm^k.
-	var lbuf [256]int32
-	var kbuf [256]float64
-	live, pow := lbuf[:0], kbuf[:0]
-	for i, fr := range c.actFrom {
-		if paths[fr] != 0 && c.reachesAny(c.actTo[i], pendingSet) {
-			live = append(live, int32(i))
-			pow = append(pow, c.actPerm[i])
+	// destination.
+	var lbuf [256]liveEdge
+	live := lbuf[:0]
+	if len(pending) > 0 {
+		for a, fr := range c.actFrom {
+			if to := c.actTo[a]; paths[fr] != 0 && meets(reach, words, to, pendingSet) {
+				live = append(live, liveEdge{fr, to, int32(a)})
+			}
 		}
 	}
 
 	residual := 0.0
+	var own []float64 // this row's perm^k once past the shared table
 	for k := 1; len(pending) > 0; k++ {
+		pk, ok := pw.term(k)
+		if !ok {
+			if own == nil {
+				prev, _ := pw.term(k - 1)
+				own = append([]float64(nil), prev...)
+			}
+			for _, l := range live {
+				own[l.at] *= c.actPerm[l.at]
+			}
+			pk = own
+		}
 		clear(s)
 		s[src] = 1
-		for j, i := range live {
-			if v := s[c.actFrom[i]]; v != 0 {
-				s[c.actTo[i]] += v * pow[j]
+		for _, l := range live {
+			if v := s[l.from]; v != 0 {
+				s[l.to] += v * pk[l.at]
 			}
 		}
 		tail := 0.0
 		kept := pending[:0]
-		for _, t := range pending {
+		for _, i := range pending {
+			t := dst[i]
 			logsum[t] += s[t] / float64(k)
 			m := maxw[t]
 			if tb := s[t] * m / (float64(k+1) * (1 - m)); tb > par.Tol {
-				kept = append(kept, t)
+				kept = append(kept, i)
 				tail = max(tail, tb)
 			} else {
-				pendingSet[t>>6] &^= 1 << (uint(t) & 63)
+				pendingSet[i>>6] &^= 1 << (uint(i) & 63)
 			}
 		}
 		shrunk := len(kept) < len(pending)
@@ -550,16 +652,13 @@ func (c *context) solveRowSeries(src int32, dst []int32, par Params) ([]float64,
 		}
 		if shrunk {
 			w := 0
-			for j, i := range live {
-				if c.reachesAny(c.actTo[i], pendingSet) {
-					live[w], pow[w] = i, pow[j]
+			for _, l := range live {
+				if meets(reach, words, l.to, pendingSet) {
+					live[w] = l
 					w++
 				}
 			}
-			live, pow = live[:w], pow[:w]
-		}
-		for j, i := range live {
-			pow[j] *= c.actPerm[i]
+			live = live[:w]
 		}
 	}
 

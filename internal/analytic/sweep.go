@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -63,7 +64,7 @@ func Sweep(e *Engine, p *core.Permeability, modules []model.ModuleID, factors []
 		return nil, err
 	}
 	res := &SweepResult{
-		BaseTotal: totalCriticality(base),
+		BaseTotal: totalCriticality(base.Signals()),
 		Cells:     make([]Cell, len(modules)*len(factors)),
 	}
 
@@ -105,25 +106,36 @@ func Sweep(e *Engine, p *core.Permeability, modules []model.ModuleID, factors []
 }
 
 func makeCell(mod model.ModuleID, factor float64, pr *core.Profile, baseTotal float64) Cell {
+	sigs := pr.Signals()
 	c := Cell{
 		Module:           mod,
 		Factor:           factor,
-		TotalCriticality: totalCriticality(pr),
+		TotalCriticality: totalCriticality(sigs),
 	}
 	c.Delta = c.TotalCriticality - baseTotal
-	for _, sp := range pr.Ranked(core.ByCriticality) {
-		if sp.Kind != model.KindSystemOutput {
-			c.Top = sp.Signal
-			c.TopCriticality = sp.Criticality
-			break
+	// Ranked(ByCriticality)'s first non-output, found by one scan with
+	// the same order: higher criticality first, then the smaller name.
+	var top *core.SignalProfile
+	for i := range sigs {
+		sp := &sigs[i]
+		if sp.Kind == model.KindSystemOutput {
+			continue
 		}
+		if top == nil {
+			top = sp
+		} else if o := cmp.Compare(sp.Criticality, top.Criticality); o > 0 || o == 0 && sp.Signal < top.Signal {
+			top = sp
+		}
+	}
+	if top != nil {
+		c.Top, c.TopCriticality = top.Signal, top.Criticality
 	}
 	return c
 }
 
-func totalCriticality(pr *core.Profile) float64 {
+func totalCriticality(sigs []core.SignalProfile) float64 {
 	var sum float64
-	for _, sp := range pr.Signals() {
+	for _, sp := range sigs {
 		sum += sp.Criticality
 	}
 	return sum

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -80,17 +81,17 @@ type Selection struct {
 // Selected returns the chosen signals, sorted by descending exposure
 // then name.
 func (s Selection) Selected() []model.SignalID {
-	var picked []Candidate
-	for _, c := range s.Candidates {
-		if c.Selected {
+	picked := make([]*Candidate, 0, len(s.Candidates))
+	for i := range s.Candidates {
+		if c := &s.Candidates[i]; c.Selected {
 			picked = append(picked, c)
 		}
 	}
-	sort.Slice(picked, func(i, j int) bool {
-		if picked[i].Exposure != picked[j].Exposure {
-			return picked[i].Exposure > picked[j].Exposure
+	slices.SortFunc(picked, func(a, b *Candidate) int {
+		if c := cmp.Compare(b.Exposure, a.Exposure); c != 0 {
+			return c
 		}
-		return picked[i].Signal < picked[j].Signal
+		return cmp.Compare(a.Signal, b.Signal)
 	})
 	out := make([]model.SignalID, len(picked))
 	for i, c := range picked {
@@ -117,13 +118,7 @@ func (s Selection) Candidate(id model.SignalID) (Candidate, error) {
 // rejection). On the paper's matrix this yields exactly
 // {OutValue, i, SetValue, pulscnt}.
 func SelectPA(pr *Profile, th Thresholds) Selection {
-	multi := len(pr.System().SystemOutputs()) > 1
-	var sel Selection
-	for _, sp := range pr.Signals() {
-		c := decide(sp, th, false, multi)
-		sel.Candidates = append(sel.Candidates, c)
-	}
-	return sel
+	return selectBy(pr, th, false)
 }
 
 // SelectExtended is the extended placement of Sections 9–10: the PA rule
@@ -135,24 +130,35 @@ func SelectPA(pr *Profile, th Thresholds) Selection {
 // system only has one output signal)" — the effect measure is the
 // criticality on multi-output systems and the impact otherwise.
 func SelectExtended(pr *Profile, th Thresholds) Selection {
+	return selectBy(pr, th, true)
+}
+
+// selectBy decides every signal of the profile in place. The
+// candidates' rule lists share one backing array, each capped at its
+// own length, so appending to one never writes into another's.
+func selectBy(pr *Profile, th Thresholds, extended bool) Selection {
 	multi := len(pr.System().SystemOutputs()) > 1
-	var sel Selection
-	for _, sp := range pr.Signals() {
-		c := decide(sp, th, true, multi)
-		sel.Candidates = append(sel.Candidates, c)
+	cands := make([]Candidate, len(pr.signals))
+	rules := make([]Rule, 0, 2*len(pr.signals)) // decide matches at most two rules
+	for i := range pr.signals {
+		lo := len(rules)
+		cands[i], rules = decide(&pr.signals[i], th, extended, multi, rules)
+		cands[i].Rules = rules[lo:len(rules):len(rules)]
 	}
-	return sel
+	return Selection{Candidates: cands}
 }
 
 // effectOf returns R3's effect measure for the signal.
-func effectOf(sp SignalProfile, multiOutput bool) float64 {
+func effectOf(sp *SignalProfile, multiOutput bool) float64 {
 	if multiOutput {
 		return sp.Criticality
 	}
 	return sp.Impact
 }
 
-func decide(sp SignalProfile, th Thresholds, extended, multiOutput bool) Candidate {
+// decide is one signal's placement decision; it appends the rules it
+// matches to rules and returns the candidate without them.
+func decide(sp *SignalProfile, th Thresholds, extended, multiOutput bool, rules []Rule) (Candidate, []Rule) {
 	c := Candidate{
 		Signal:      sp.Signal,
 		Exposure:    sp.Exposure,
@@ -162,14 +168,14 @@ func decide(sp SignalProfile, th Thresholds, extended, multiOutput bool) Candida
 	// Structural exclusions first.
 	switch {
 	case sp.Kind == model.KindSystemInput:
-		c.Rules = append(c.Rules, RejectSystemInput)
-		return c
+		rules = append(rules, RejectSystemInput)
+		return c, rules
 	case sp.IsBool:
-		c.Rules = append(c.Rules, RejectBoolean)
-		return c
+		rules = append(rules, RejectBoolean)
+		return c, rules
 	case sp.Kind == model.KindSystemOutput:
-		c.Rules = append(c.Rules, RejectSystemOutput)
-		return c
+		rules = append(rules, RejectSystemOutput)
+		return c, rules
 	}
 
 	effect := effectOf(sp, multiOutput)
@@ -177,26 +183,26 @@ func decide(sp SignalProfile, th Thresholds, extended, multiOutput bool) Candida
 		switch {
 		case sp.Impact > 0:
 			c.Selected = true
-			c.Rules = append(c.Rules, RuleR1Exposure)
+			rules = append(rules, RuleR1Exposure)
 		case extended && sp.MaxInPermeability >= th.WitnessPermeability:
 			c.Selected = true
-			c.Rules = append(c.Rules, RuleWitness)
+			rules = append(rules, RuleWitness)
 		default:
-			c.Rules = append(c.Rules, RejectZeroImpact)
+			rules = append(rules, RejectZeroImpact)
 		}
 		if c.Selected && extended && effect >= th.ImpactMin {
-			c.Rules = append(c.Rules, RuleR3Impact)
+			rules = append(rules, RuleR3Impact)
 		}
-		return c
+		return c, rules
 	}
 
 	if extended && effect >= th.ImpactMin {
 		c.Selected = true
-		c.Rules = append(c.Rules, RuleR3Impact)
-		return c
+		rules = append(rules, RuleR3Impact)
+		return c, rules
 	}
-	c.Rules = append(c.Rules, RejectLowExposure)
-	return c
+	rules = append(rules, RejectLowExposure)
+	return c, rules
 }
 
 // SelectEH codifies the experience/heuristic process of Section 5.1

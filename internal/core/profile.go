@@ -42,13 +42,16 @@ type Profile struct {
 }
 
 // BuildProfile computes every per-signal measure by tree-based path
-// enumeration. It is the reference oracle, not the production path:
-// profiles come from internal/analytic, and BuildProfile is what tests
-// and cmd/inject's matrix cross-check compare them against, and the
-// tree unit of the place-analytic benchmark.
+// enumeration, building one impact tree per signal and folding every
+// output's impact from it. It is the reference oracle, not the
+// production path: profiles come from internal/analytic, and
+// BuildProfile is what tests and cmd/inject's matrix cross-check
+// compare them against, and the tree unit of the place-analytic
+// benchmark.
 func BuildProfile(p *Permeability) (*Profile, error) {
 	sys := p.sys
 	outs := sys.SystemOutputs()
+	crits := outputCriticalities(sys)
 	pr := &Profile{
 		perm: p,
 		byID: make(map[model.SignalID]int, len(sys.SignalIDs())),
@@ -65,21 +68,17 @@ func BuildProfile(p *Permeability) (*Profile, error) {
 			return nil, err
 		}
 		sp.Exposure = x
-		for _, o := range outs {
-			imp, err := Impact(p, sig.ID, o)
-			if err != nil {
-				return nil, err
-			}
-			sp.ImpactOn[o] = imp
-			if imp > sp.Impact {
-				sp.Impact = imp
-			}
-		}
-		c, err := Criticality(p, sig.ID)
+		imps, err := outputImpacts(p, sig.ID, outs)
 		if err != nil {
 			return nil, err
 		}
-		sp.Criticality = c
+		for i, o := range outs {
+			sp.ImpactOn[o] = imps[i]
+			if imps[i] > sp.Impact {
+				sp.Impact = imps[i]
+			}
+		}
+		sp.Criticality = foldCriticality(outs, imps, crits)
 		for _, e := range sys.InEdges(sig.ID) {
 			if v := p.Get(e); v > sp.MaxInPermeability {
 				sp.MaxInPermeability = v
@@ -152,27 +151,44 @@ func (m Metric) String() string {
 	}
 }
 
+// key returns the signal's value under the metric (0 for an unknown
+// metric).
+func (m Metric) key(sp *SignalProfile) float64 {
+	switch m {
+	case ByExposure:
+		return sp.Exposure
+	case ByImpact:
+		return sp.Impact
+	case ByCriticality:
+		return sp.Criticality
+	default:
+		return 0
+	}
+}
+
 // Ranked returns the signal profiles sorted by the metric, descending,
 // with ties broken by signal name for determinism.
 func (pr *Profile) Ranked(m Metric) []SignalProfile {
-	out := pr.Signals()
-	key := func(sp SignalProfile) float64 {
-		switch m {
-		case ByExposure:
-			return sp.Exposure
-		case ByImpact:
-			return sp.Impact
-		case ByCriticality:
-			return sp.Criticality
-		default:
-			return 0
-		}
+	// Sort positions by their extracted keys, then copy each profile
+	// once: cheaper than swapping whole profiles, and the name tiebreak
+	// makes the order total, so any sort gives the same result.
+	type ranked struct {
+		key float64
+		at  int
 	}
-	slices.SortFunc(out, func(a, b SignalProfile) int {
-		if c := cmp.Compare(key(b), key(a)); c != 0 {
+	order := make([]ranked, len(pr.signals))
+	for i := range pr.signals {
+		order[i] = ranked{m.key(&pr.signals[i]), i}
+	}
+	slices.SortFunc(order, func(a, b ranked) int {
+		if c := cmp.Compare(b.key, a.key); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Signal, b.Signal)
+		return cmp.Compare(pr.signals[a.at].Signal, pr.signals[b.at].Signal)
 	})
+	out := make([]SignalProfile, len(order))
+	for i, r := range order {
+		out[i] = pr.signals[r.at]
+	}
 	return out
 }
