@@ -233,11 +233,18 @@ func TestFleetSurvivesCorruptedFrames(t *testing.T) {
 // worker completes the handshake and then goes silent — no pings, no
 // response. The coordinator's read deadline (3 missed beats) reaps it
 // long before the shard deadline, and the shard retries on the real
-// agent.
+// agent. The real agent holds its runs until the silent peer has read
+// a shard request; otherwise it could drain every shard first and the
+// campaign would never wait on the silent peer.
 func TestFleetHeartbeatDetectsSilentPeer(t *testing.T) {
 	const n = 24
-	silent := startSilentWorker(t)
-	good, _ := startAgent(t, cubesFactory(nil), nil)
+	silent, holdsShard := startSilentWorker(t)
+	good, _ := startAgent(t, cubesFactory(func(ctx context.Context, _ int) {
+		select {
+		case <-holdsShard:
+		case <-ctx.Done():
+		}
+	}), nil)
 
 	var log bytes.Buffer
 	f := testFleet(n, silent, good)
@@ -264,14 +271,16 @@ func TestFleetHeartbeatDetectsSilentPeer(t *testing.T) {
 
 // startSilentWorker serves one connection: a correct handshake, then
 // silence. It stops listening after the first accept so the
-// coordinator's re-dial cannot resurrect it.
-func startSilentWorker(t *testing.T) string {
+// coordinator's re-dial cannot resurrect it. The returned channel is
+// closed once the worker has read its first shard request.
+func startSilentWorker(t *testing.T) (string, <-chan struct{}) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	holdsShard := make(chan struct{})
 	go func() {
 		raw, err := l.Accept()
 		if err != nil {
@@ -291,14 +300,16 @@ func startSilentWorker(t *testing.T) string {
 			return
 		}
 		// Silence: swallow requests, send nothing — not even pings.
+		var once sync.Once
 		for {
 			var req request
 			if err := c.ReadFrame(&req); err != nil {
 				return
 			}
+			once.Do(func() { close(holdsShard) })
 		}
 	}()
-	return l.Addr().String()
+	return l.Addr().String(), holdsShard
 }
 
 // TestFleetStragglerRedispatch pins the straggler policy: one agent

@@ -150,37 +150,123 @@ func roundBatch(round, total, minTrials int) int {
 	return b
 }
 
-// roundCampaign adapts one adaptive round into an ordinary engine
-// campaign: the plan is the round's job list, Reduce returns results
-// verbatim for the driver to fold, and the embedded JSONWire keeps the
-// round dispatchable to worker processes.
+// adaptiveCampaign is a campaign the round driver samples in rounds.
+// Its run kernel, shard keys, descriptions and wire codec serve every
+// round unchanged; roundStreams lists its sampling streams, each
+// stream's runs in trial order. The driver and shard workers both take
+// the streams from roundStreams, so they slice identical rounds.
+type adaptiveCampaign[Run, Result any] interface {
+	Name() string
+	Execute(ctx context.Context, run Run, index int) (Result, error)
+	campaign.Sharder[Run]
+	campaign.Describer[Run]
+	campaign.Wire[Result]
+	roundStreams() ([][]Run, error)
+}
+
+// roundCampaign is one adaptive round as an ordinary engine campaign:
+// the plan is the round's job list, Reduce returns results verbatim for
+// the driver to fold, and everything else is the adaptive campaign's.
 type roundCampaign[Run, Result any] struct {
-	campaign.JSONWire[Result]
+	adaptiveCampaign[Run, Result]
 	name string
 	jobs []Run
-	exec func(ctx context.Context, run Run, index int) (Result, error)
-	key  func(run Run, index int) uint64
-	desc func(run Run, index int) string
 }
 
 func (c *roundCampaign[Run, Result]) Name() string { return c.name }
 
 func (c *roundCampaign[Run, Result]) Plan() ([]Run, error) { return c.jobs, nil }
 
-func (c *roundCampaign[Run, Result]) Execute(ctx context.Context, run Run, index int) (Result, error) {
-	return c.exec(ctx, run, index)
-}
-
 func (c *roundCampaign[Run, Result]) Reduce(_ []Run, results []Result) ([]Result, error) {
 	return results, nil
 }
 
-func (c *roundCampaign[Run, Result]) ShardKey(run Run, index int) uint64 {
-	return c.key(run, index)
+// newRound builds the campaign of the round st describes: every
+// unfinished stream's next batch (or its remainder), streams in order.
+// It is a pure function of the streams and the shipped cursor state, so
+// the driver and shard workers derive the same plan and plan hash. A
+// worker's state arrives from outside the process and is checked.
+func newRound[Run, Result any](c adaptiveCampaign[Run, Result], streams [][]Run, st AdaptiveRound) (*roundCampaign[Run, Result], error) {
+	name := roundName(c.Name(), st.Round)
+	if len(st.Cursors) != len(streams) || len(st.Done) != len(streams) || st.Batch < 1 {
+		return nil, fmt.Errorf("experiment: round %s has %d cursors for %d streams and batch %d",
+			name, len(st.Cursors), len(streams), st.Batch)
+	}
+	var jobs []Run
+	for si, stream := range streams {
+		cur := st.Cursors[si]
+		if cur < 0 || cur > len(stream) {
+			return nil, fmt.Errorf("experiment: round %s cursor %d is outside stream %d of %d runs", name, cur, si, len(stream))
+		}
+		if !st.Done[si] {
+			jobs = append(jobs, stream[cur:min(cur+st.Batch, len(stream))]...)
+		}
+	}
+	return &roundCampaign[Run, Result]{adaptiveCampaign: c, name: name, jobs: jobs}, nil
 }
 
-func (c *roundCampaign[Run, Result]) Describe(run Run, index int) string {
-	return c.desc(run, index)
+// runRounds is the adaptive round driver. Round r executes newRound's
+// plan as the campaign "<base>@<r>" on the options' executor; worker
+// processes receive the cursor state through withRound. The results are
+// folded stream by stream in plan order, and a stream then stops once
+// it is exhausted or converged under the stopping rule. Stopping
+// decisions are pure functions of the plan-order results, so the
+// outcome is executor-independent. One BENCH row, timed from bb, covers
+// the whole loop; planned is the exact grid the streams stand for.
+// runRounds returns the number of runs executed.
+func runRounds[Run, Result any](ctx context.Context, opts Options, bb *benchBracket, c adaptiveCampaign[Run, Result], planned int,
+	fold func(stream int, run Run, out Result), converged func(rule stats.StopRule, stream int) bool) (int, error) {
+	streams, err := c.roundStreams()
+	if err != nil {
+		return 0, err
+	}
+	longest := 0
+	for _, stream := range streams {
+		longest = max(longest, len(stream))
+	}
+	rule := opts.stopRule()
+	cursors := make([]int, len(streams))
+	done := make([]bool, len(streams))
+	executed := 0
+	for round := 0; ; round++ {
+		st := AdaptiveRound{
+			Campaign: c.Name(),
+			Round:    round,
+			Cursors:  append([]int(nil), cursors...),
+			Done:     append([]bool(nil), done...),
+			Batch:    roundBatch(round, longest, rule.MinTrials),
+		}
+		rc, err := newRound(c, streams, st)
+		if err != nil {
+			return 0, err
+		}
+		if len(rc.jobs) == 0 {
+			break
+		}
+		ropts, err := opts.withRound(st)
+		if err != nil {
+			return 0, err
+		}
+		results, err := campaign.Execute[Run, Result, []Result](ctx, rc, ropts.executor(), nil)
+		if err != nil {
+			return 0, err
+		}
+		for si, stream := range streams {
+			if done[si] {
+				continue
+			}
+			n := min(st.Batch, len(stream)-cursors[si])
+			for t, out := range results[:n] {
+				fold(si, stream[cursors[si]+t], out)
+			}
+			results = results[n:]
+			cursors[si] += n
+			executed += n
+			done[si] = cursors[si] >= len(stream) || converged(rule, si)
+		}
+	}
+	bb.observe(opts.Timings, c.Name(), executed, planned)
+	return executed, nil
 }
 
 // benchBracket aggregates a whole round loop into one BENCH timing row,
@@ -232,44 +318,39 @@ func maskedTarget(l *memmap.Liveness, tgt fi.MemTarget) bool {
 	return false
 }
 
-// prunedMemJobs builds one region's pruned run list: plan order, with
-// each (case) class of masked targets collapsed into its first member
-// carrying the class size as weight.
-func prunedMemJobs(targets []fi.MemTarget, stack bool, profs []*memmap.Liveness) []memJob {
-	numCases := len(profs)
-	masked := make([]int, numCases)
+// collapseMasked emits one region's pruned plan. It walks the exact
+// plan's positions in order: each target, then each class in the
+// plan's inner-loop order (profs holds one liveness profile per class).
+// Each class's masked targets collapse into one representative at the
+// class's first masked position, weighted by the class size; every
+// other run is emitted as itself, with weight 0.
+func collapseMasked(targets []fi.MemTarget, profs []*memmap.Liveness, emit func(tgt fi.MemTarget, class, weight int)) {
+	masked := make([]int, len(profs))
 	for _, tgt := range targets {
-		for ci := 0; ci < numCases; ci++ {
-			if maskedTarget(profs[ci], tgt) {
-				masked[ci]++
+		for k, l := range profs {
+			if maskedTarget(l, tgt) {
+				masked[k]++
 			}
 		}
 	}
-	emitted := make([]bool, numCases)
-	var out []memJob
+	emitted := make([]bool, len(profs))
 	for _, tgt := range targets {
-		for ci := 0; ci < numCases; ci++ {
-			if maskedTarget(profs[ci], tgt) {
-				if emitted[ci] {
-					continue
-				}
-				emitted[ci] = true
-				out = append(out, memJob{tgt: tgt, caseIdx: ci, stack: stack, weight: masked[ci]})
-			} else {
-				out = append(out, memJob{tgt: tgt, caseIdx: ci, stack: stack})
+		for k, l := range profs {
+			switch {
+			case !maskedTarget(l, tgt):
+				emit(tgt, k, 0)
+			case !emitted[k]:
+				emitted[k] = true
+				emit(tgt, k, masked[k])
 			}
 		}
 	}
-	return out
 }
 
-// estimatePermeabilityAdaptive is the early-stopping permeability
-// driver: rounds of case-interleaved trials per (module, input) stream,
-// each stream stopping once every outgoing edge's Wilson interval is
-// tight. Stopping decisions are pure functions of accumulated
-// plan-order results, so the outcome is executor-independent; executed
-// trials keep their exact-plan seeds, so the estimates are prefix
-// averages of the exact campaign's.
+// estimatePermeabilityAdaptive is the early-stopping Table 1 campaign:
+// each (module, input) stream stops once every outgoing edge's Wilson
+// interval is tight. Executed trials keep their exact-plan seeds, so
+// the estimates are prefix averages of the exact campaign's.
 func estimatePermeabilityAdaptive(ctx context.Context, opts Options, perInput int) (*PermeabilityResult, error) {
 	bb := startBenchBracket()
 	base, err := newPermeabilityCampaign(ctx, opts, perInput)
@@ -277,87 +358,37 @@ func estimatePermeabilityAdaptive(ctx context.Context, opts Options, perInput in
 		return nil, err
 	}
 	streams := base.streams()
-	numCases := len(opts.Cases)
-	perCase := base.perCase()
-	total := perCase * numCases // trials per stream
-	rule := opts.stopRule()
-
-	type streamStat struct {
-		active int
-		direct map[int]int // output index -> direct deviations
+	active := make([]int, len(streams))
+	direct := make([]map[int]int, len(streams)) // per stream: output index -> direct deviations
+	for si := range direct {
+		direct[si] = make(map[int]int)
 	}
-	stat := make([]streamStat, len(streams))
-	for i := range stat {
-		stat[i].direct = make(map[int]int)
-	}
-	cursors := make([]int, len(streams))
-	done := make([]bool, len(streams))
-	var allJobs []permJob
-	var allResults []permOutcome
-
-	for round := 0; ; round++ {
-		batch := roundBatch(round, total, rule.MinTrials)
-		st := AdaptiveRound{
-			Campaign: base.Name(),
-			Round:    round,
-			Cursors:  append([]int(nil), cursors...),
-			Done:     append([]bool(nil), done...),
-			Batch:    batch,
+	var jobs []permJob
+	var results []permOutcome
+	planned := base.perCase() * len(opts.Cases) * len(streams)
+	_, err = runRounds(ctx, opts, bb, base, planned, func(si int, j permJob, out permOutcome) {
+		jobs = append(jobs, j)
+		results = append(results, out)
+		if !out.Active {
+			return
 		}
-		rc, err := base.round(roundName(base.Name(), round), st)
-		if err != nil {
-			return nil, err
-		}
-		if len(rc.jobs) == 0 {
-			break
-		}
-		ropts, err := opts.withRound(st)
-		if err != nil {
-			return nil, err
-		}
-		results, err := campaign.Execute[permJob, permOutcome, []permOutcome](ctx, rc, ropts.executor(), nil)
-		if err != nil {
-			return nil, err
-		}
-		// Fold stream by stream — roundJobs emits unfinished streams in
-		// order, batch (or remainder) trials each.
-		ji := 0
-		for si := range streams {
-			if done[si] {
-				continue
-			}
-			n := batch
-			if rem := total - cursors[si]; n > rem {
-				n = rem
-			}
-			for t := 0; t < n; t++ {
-				out := results[ji+t]
-				if !out.Active {
-					continue
-				}
-				stat[si].active++
-				for _, op := range streams[si].mod.Outputs {
-					if out.Direct[op.Index] {
-						stat[si].direct[op.Index]++
-					}
-				}
-			}
-			ji += n
-			cursors[si] += n
-			if cursors[si] >= total || permStreamConverged(rule, streams[si].mod, stat[si].active, stat[si].direct) {
-				done[si] = true
+		active[si]++
+		for _, op := range j.mod.Outputs {
+			if out.Direct[op.Index] {
+				direct[si][op.Index]++
 			}
 		}
-		allJobs = append(allJobs, rc.jobs...)
-		allResults = append(allResults, results...)
-	}
-
-	res, err := base.Reduce(allJobs, allResults)
+	}, func(rule stats.StopRule, si int) bool {
+		return permStreamConverged(rule, streams[si].mod, active[si], direct[si])
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.PlannedRuns = total * len(streams)
-	bb.observe(opts.Timings, base.Name(), len(allJobs), res.PlannedRuns)
+	res, err := base.Reduce(jobs, results)
+	if err != nil {
+		return nil, err
+	}
+	res.PlannedRuns = planned
 	return res, nil
 }
 
@@ -375,83 +406,29 @@ func permStreamConverged(rule stats.StopRule, mod *model.ModuleDecl, active int,
 	return true
 }
 
-// internalCoverageAdaptive is the pruning + early-stopping Figure 3
-// driver: the two region streams (RAM, stack) sample their pruned run
-// lists in rounds, and a region stops once every assertion set's c_tot
-// interval is tight over the weighted trials accumulated so far.
+// internalCoverageAdaptive is the pruned, early-stopping Figure 3
+// campaign: the two region streams (RAM, stack) sample their pruned run
+// lists, and a region stops once every assertion set's c_tot interval
+// is tight over the weighted trials folded so far.
 func internalCoverageAdaptive(ctx context.Context, opts Options, ramLocations, stackLocations int) (*InternalCoverageResult, error) {
 	bb := startBenchBracket()
 	base, err := newInternalCoverageCampaign(ctx, opts, ramLocations, stackLocations)
 	if err != nil {
 		return nil, err
 	}
-	if err := base.prepare(); err != nil {
-		return nil, err
-	}
-	streams := [][]memJob{base.ramPruned, base.stackPruned}
-	maxLen := len(streams[0])
-	if len(streams[1]) > maxLen {
-		maxLen = len(streams[1])
-	}
-	rule := opts.stopRule()
-
 	sets := setMembers(base.t)
 	res := base.newResult(sets)
-	regions := []*RegionCoverage{&res.RAM, &res.Stack}
-	cursors := make([]int, len(streams))
-	done := make([]bool, len(streams))
-	executed := 0
-
-	for round := 0; ; round++ {
-		batch := roundBatch(round, maxLen, rule.MinTrials)
-		st := AdaptiveRound{
-			Campaign: base.Name(),
-			Round:    round,
-			Cursors:  append([]int(nil), cursors...),
-			Done:     append([]bool(nil), done...),
-			Batch:    batch,
-		}
-		rc, err := base.round(roundName(base.Name(), round), st)
-		if err != nil {
-			return nil, err
-		}
-		if len(rc.jobs) == 0 {
-			break
-		}
-		ropts, err := opts.withRound(st)
-		if err != nil {
-			return nil, err
-		}
-		results, err := campaign.Execute[memJob, memOutcome, []memOutcome](ctx, rc, ropts.executor(), nil)
-		if err != nil {
-			return nil, err
-		}
-		ji := 0
-		for si := range streams {
-			if done[si] {
-				continue
-			}
-			n := batch
-			if rem := len(streams[si]) - cursors[si]; n > rem {
-				n = rem
-			}
-			for t := 0; t < n; t++ {
-				j, out := rc.jobs[ji+t], results[ji+t]
-				regions[si].accumulateN(sets, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
-				res.Total.accumulateN(sets, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
-			}
-			ji += n
-			cursors[si] += n
-			executed += n
-			if cursors[si] >= len(streams[si]) || regionConverged(rule, regions[si]) {
-				done[si] = true
-			}
-		}
-	}
-
 	res.PlannedRuns = (len(base.ramTargets) + len(base.stackTargets)) * len(opts.Cases)
-	res.ExecutedRuns = executed
-	bb.observe(opts.Timings, base.Name(), executed, res.PlannedRuns)
+	regions := []*RegionCoverage{&res.RAM, &res.Stack}
+	res.ExecutedRuns, err = runRounds(ctx, opts, bb, base, res.PlannedRuns, func(si int, j memJob, out memOutcome) {
+		regions[si].accumulateN(sets, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
+		res.Total.accumulateN(sets, out.DetectedAt, out.Failed, opts.PeriodicMs, j.weight)
+	}, func(rule stats.StopRule, si int) bool {
+		return regionConverged(rule, regions[si])
+	})
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

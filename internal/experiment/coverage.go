@@ -314,11 +314,6 @@ type internalCoverageCampaign struct {
 	golds                    []*golden
 	eh                       []eaBank
 	ramTargets, stackTargets []fi.MemTarget
-
-	// Adaptive-mode state: the pruned per-region run lists (memoized by
-	// prepare, derived deterministically from the options).
-	prepared               bool
-	ramPruned, stackPruned []memJob
 }
 
 func (c *internalCoverageCampaign) Name() string { return "internal-coverage" }
@@ -360,58 +355,29 @@ func (c *internalCoverageCampaign) Plan() ([]memJob, error) {
 	return plan, nil
 }
 
-// prepare builds the adaptive campaign's pruned per-region run lists:
-// profile each test case's fault-free def/use trace, collapse every
-// (case, region) set of provably-masked targets into one weighted
-// representative, and keep all other targets as weight-1 runs. Pure
-// function of the options, memoized — parent and workers derive
-// identical lists.
-func (c *internalCoverageCampaign) prepare() error {
-	if c.prepared {
-		return nil
-	}
+// roundStreams builds the adaptive campaign's two region streams (RAM,
+// stack): profile each test case's fault-free def/use trace, collapse
+// every (case, region) class of provably-masked targets into one
+// weighted representative, and keep all other targets as weight-1 runs.
+// A pure function of the options, so the driver and workers derive
+// identical streams.
+func (c *internalCoverageCampaign) roundStreams() ([][]memJob, error) {
 	profs := make([]*memmap.Liveness, len(c.opts.Cases))
 	for ci := range c.opts.Cases {
 		l, err := livenessProfile(c.opts, c.t, c.golds[ci], sut.Variant{}, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		profs[ci] = l
 	}
-	c.ramPruned = prunedMemJobs(c.ramTargets, false, profs)
-	c.stackPruned = prunedMemJobs(c.stackTargets, true, profs)
-	c.prepared = true
-	return nil
-}
-
-// round builds the executable campaign of one adaptive round; streams
-// are the two region run lists (RAM, stack).
-func (c *internalCoverageCampaign) round(name string, st AdaptiveRound) (*roundCampaign[memJob, memOutcome], error) {
-	if err := c.prepare(); err != nil {
-		return nil, err
+	region := func(tgts []fi.MemTarget, stack bool) []memJob {
+		var jobs []memJob
+		collapseMasked(tgts, profs, func(tgt fi.MemTarget, ci, weight int) {
+			jobs = append(jobs, memJob{tgt: tgt, caseIdx: ci, stack: stack, weight: weight})
+		})
+		return jobs
 	}
-	streams := [][]memJob{c.ramPruned, c.stackPruned}
-	if len(st.Cursors) != len(streams) || len(st.Done) != len(streams) {
-		return nil, fmt.Errorf("experiment: round %s has %d cursors for %d streams", name, len(st.Cursors), len(streams))
-	}
-	var jobs []memJob
-	for si, stream := range streams {
-		if st.Done[si] {
-			continue
-		}
-		end := st.Cursors[si] + st.Batch
-		if end > len(stream) {
-			end = len(stream)
-		}
-		jobs = append(jobs, stream[st.Cursors[si]:end]...)
-	}
-	return &roundCampaign[memJob, memOutcome]{
-		name: name,
-		jobs: jobs,
-		exec: c.Execute,
-		key:  c.ShardKey,
-		desc: c.Describe,
-	}, nil
+	return [][]memJob{region(c.ramTargets, false), region(c.stackTargets, true)}, nil
 }
 
 // Execute runs one severe-model injection: periodic flips of one

@@ -276,50 +276,23 @@ func (c *recoveryCampaign) Plan() ([]recJob, error) {
 // Deterministic: parent and workers derive the identical plan, so the
 // dispatch plan-hash handshake holds.
 func (c *recoveryCampaign) prunedPlan() ([]recJob, error) {
-	profs := make([][]*memmap.Liveness, 3)
+	// One profile per (case, arm) class, in the plan's inner-loop order.
+	profs := make([]*memmap.Liveness, len(c.opts.Cases)*3)
 	for arm := 0; arm < 3; arm++ {
-		profs[arm] = make([]*memmap.Liveness, len(c.opts.Cases))
+		v, ws := c.arm(arm)
 		for ci := range c.opts.Cases {
-			v, ws := c.arm(arm)
 			l, err := livenessProfile(c.opts, c.t, c.golds[ci], v, ws)
 			if err != nil {
 				return nil, err
 			}
-			profs[arm][ci] = l
+			profs[ci*3+arm] = l
 		}
 	}
 	var plan []recJob
 	add := func(tgts []fi.MemTarget, stack bool) {
-		// Class sizes first, then one representative at its natural plan
-		// position (the first masked target of each class).
-		masked := make([][]int, 3)
-		emitted := make([][]bool, 3)
-		for arm := range masked {
-			masked[arm] = make([]int, len(c.opts.Cases))
-			emitted[arm] = make([]bool, len(c.opts.Cases))
-			for _, tgt := range tgts {
-				for ci := range c.opts.Cases {
-					if maskedTarget(profs[arm][ci], tgt) {
-						masked[arm][ci]++
-					}
-				}
-			}
-		}
-		for _, tgt := range tgts {
-			for ci := range c.opts.Cases {
-				for arm := 0; arm < 3; arm++ {
-					if maskedTarget(profs[arm][ci], tgt) {
-						if emitted[arm][ci] {
-							continue
-						}
-						emitted[arm][ci] = true
-						plan = append(plan, recJob{tgt: tgt, caseIdx: ci, stack: stack, arm: arm, weight: masked[arm][ci]})
-					} else {
-						plan = append(plan, recJob{tgt: tgt, caseIdx: ci, stack: stack, arm: arm})
-					}
-				}
-			}
-		}
+		collapseMasked(tgts, profs, func(tgt fi.MemTarget, k, weight int) {
+			plan = append(plan, recJob{tgt: tgt, caseIdx: k / 3, stack: stack, arm: k % 3, weight: weight})
+		})
 	}
 	add(c.ramTargets, false)
 	add(c.stackTargets, true)

@@ -117,53 +117,28 @@ func (c *permeabilityCampaign) Plan() ([]permJob, error) {
 	return plan, nil
 }
 
-// roundJobs emits the next batch of each unfinished stream's trials.
-// Trials advance in case-interleaved order (consecutive trials visit
-// consecutive cases) so a stream stopped early has sampled every case
-// evenly; seq maps each trial back to its exact-plan slot, preserving
-// the run's seed. Pure function of its arguments — the parent driver
-// and shard workers derive identical round plans from the shipped
-// cursor state.
-func (c *permeabilityCampaign) roundJobs(streams []permStream, cursors []int, done []bool, batch int) []permJob {
+// roundStreams lists each stream's trials in the order adaptive rounds
+// sample them: case-interleaved (consecutive trials visit consecutive
+// cases), so a stream stopped early has sampled every case evenly. seq
+// maps each trial back to its exact-plan slot, preserving the run's
+// seed.
+func (c *permeabilityCampaign) roundStreams() ([][]permJob, error) {
 	numCases := len(c.opts.Cases)
 	perCase := c.perCase()
-	total := perCase * numCases
-	var jobs []permJob
-	for si, s := range streams {
-		if done[si] {
-			continue
-		}
-		end := cursors[si] + batch
-		if end > total {
-			end = total
-		}
-		for t := cursors[si]; t < end; t++ {
+	var out [][]permJob
+	for _, s := range c.streams() {
+		jobs := make([]permJob, perCase*numCases)
+		for t := range jobs {
 			ci := t % numCases
 			k := t / numCases
-			jobs = append(jobs, permJob{
+			jobs[t] = permJob{
 				mod: s.mod, port: s.port, sig: s.sig,
 				caseIdx: ci, seq: s.base + ci*perCase + k,
-			})
+			}
 		}
+		out = append(out, jobs)
 	}
-	return jobs
-}
-
-// round builds the executable campaign of one adaptive round. Both the
-// parent driver and worker processes construct rounds through this
-// path, so plans and plan hashes agree by construction.
-func (c *permeabilityCampaign) round(name string, st AdaptiveRound) (*roundCampaign[permJob, permOutcome], error) {
-	streams := c.streams()
-	if len(st.Cursors) != len(streams) || len(st.Done) != len(streams) {
-		return nil, fmt.Errorf("experiment: round %s has %d cursors for %d streams", name, len(st.Cursors), len(streams))
-	}
-	return &roundCampaign[permJob, permOutcome]{
-		name: name,
-		jobs: c.roundJobs(streams, st.Cursors, st.Done, st.Batch),
-		exec: c.Execute,
-		key:  c.ShardKey,
-		desc: c.Describe,
-	}, nil
+	return out, nil
 }
 
 // Execute runs one permeability injection and evaluates direct output

@@ -149,13 +149,20 @@ func TestPermeabilityRunMatchesOracle(t *testing.T) {
 			t.Run(name+"/adaptive", func(t *testing.T) {
 				// A later round of the adaptive plan: each stream's
 				// trials from cursor 3 on, case-interleaved.
-				streams := c.streams()
+				streams, err := c.roundStreams()
+				if err != nil {
+					t.Fatal(err)
+				}
 				cursors := make([]int, len(streams))
 				for i := range cursors {
 					cursors[i] = 3
 				}
-				jobs := c.roundJobs(streams, cursors, make([]bool, len(streams)), 5)
-				requireOracleAgreement(t, c, jobs)
+				rc, err := newRound[permJob, permOutcome](c, streams,
+					AdaptiveRound{Campaign: c.Name(), Cursors: cursors, Done: make([]bool, len(streams)), Batch: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireOracleAgreement(t, c, rc.jobs)
 			})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/campaign"
 	"repro/internal/campaign/dispatch"
 	"repro/internal/erm"
 	"repro/internal/model"
@@ -72,7 +73,8 @@ func (s WorkerSpec) Encode() (string, error) {
 // buildWorker rebuilds the named campaign from the spec and adapts it
 // for shard serving. The builders are the same ones the parent's entry
 // points use, so plans, shard keys and plan hashes agree by
-// construction.
+// construction. A round name "<base>@<round>" rebuilds the base
+// campaign and serves the round the spec's round state describes.
 func (s WorkerSpec) buildWorker(ctx context.Context, name string) (dispatch.Worker, error) {
 	opts := s.Options
 	opts.Timings = nil
@@ -80,33 +82,12 @@ func (s WorkerSpec) buildWorker(ctx context.Context, name string) (dispatch.Work
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if base, round, ok := parseRoundName(name); ok {
-		if s.Round == nil || s.Round.Campaign != base || s.Round.Round != round {
+	var round *AdaptiveRound
+	if base, r, ok := parseRoundName(name); ok {
+		if s.Round == nil || s.Round.Campaign != base || s.Round.Round != r {
 			return nil, fmt.Errorf("experiment: worker has no round state for campaign %q", name)
 		}
-		switch base {
-		case "permeability":
-			c, err := newPermeabilityCampaign(ctx, opts, s.PerInput)
-			if err != nil {
-				return nil, err
-			}
-			rc, err := c.round(name, *s.Round)
-			if err != nil {
-				return nil, err
-			}
-			return dispatch.Adapt[permJob, permOutcome, []permOutcome](rc)
-		case "internal-coverage":
-			c, err := newInternalCoverageCampaign(ctx, opts, s.RAMLocations, s.StackLocations)
-			if err != nil {
-				return nil, err
-			}
-			rc, err := c.round(name, *s.Round)
-			if err != nil {
-				return nil, err
-			}
-			return dispatch.Adapt[memJob, memOutcome, []memOutcome](rc)
-		}
-		return nil, fmt.Errorf("experiment: no adaptive campaign named %q", base)
+		name, round = base, s.Round
 	}
 	switch name {
 	case "permeability":
@@ -114,19 +95,19 @@ func (s WorkerSpec) buildWorker(ctx context.Context, name string) (dispatch.Work
 		if err != nil {
 			return nil, err
 		}
-		return dispatch.Adapt[permJob, permOutcome, *PermeabilityResult](c)
+		return adapt[permJob, permOutcome, *PermeabilityResult](c, round)
 	case "input-coverage":
 		c, err := newInputCoverageCampaign(ctx, opts, s.PerSignal, s.Signals)
 		if err != nil {
 			return nil, err
 		}
-		return dispatch.Adapt[covJob, covOutcome, *InputCoverageResult](c)
+		return adapt[covJob, covOutcome, *InputCoverageResult](c, round)
 	case "internal-coverage":
 		c, err := newInternalCoverageCampaign(ctx, opts, s.RAMLocations, s.StackLocations)
 		if err != nil {
 			return nil, err
 		}
-		return dispatch.Adapt[memJob, memOutcome, *InternalCoverageResult](c)
+		return adapt[memJob, memOutcome, *InternalCoverageResult](c, round)
 	case "tightness":
 		c, err := newTightnessCampaign(ctx, opts, s.PerStep, s.Steps)
 		if err != nil {
@@ -138,27 +119,48 @@ func (s WorkerSpec) buildWorker(ctx context.Context, name string) (dispatch.Work
 		if err != nil {
 			return nil, err
 		}
-		return dispatch.Adapt[sensJob, sensOutcome, *ModelSensitivityResult](c)
+		return adapt[sensJob, sensOutcome, *ModelSensitivityResult](c, round)
 	case "recovery":
 		c, err := newRecoveryCampaign(ctx, opts, s.RecoveryRAM, s.RecoveryStack, s.Specs)
 		if err != nil {
 			return nil, err
 		}
-		return dispatch.Adapt[recJob, recOutcome, *RecoveryStudyResult](c)
+		return adapt[recJob, recOutcome, *RecoveryStudyResult](c, round)
 	case "integration":
 		c, err := newIntegrationCampaign(ctx, opts, s.IntegPerSignal)
 		if err != nil {
 			return nil, err
 		}
-		return dispatch.Adapt[integJob, integOutcome, *IntegrationPoint](c)
+		return adapt[integJob, integOutcome, *IntegrationPoint](c, round)
 	case "matrix":
 		c, err := newMatrixCampaign(ctx, opts, s.MatrixTargets, s.MatrixModels, s.MatrixPerCell)
 		if err != nil {
 			return nil, err
 		}
-		return dispatch.Adapt[matrixJob, matrixOutcome, *MatrixResult](c)
+		return adapt[matrixJob, matrixOutcome, *MatrixResult](c, round)
 	}
 	return nil, fmt.Errorf("experiment: no campaign named %q", name)
+}
+
+// adapt serves a rebuilt campaign's shards: the campaign itself, or,
+// given round state, the adaptive round it names.
+func adapt[Run, Result, Out any](c campaign.Campaign[Run, Result, Out], st *AdaptiveRound) (dispatch.Worker, error) {
+	if st == nil {
+		return dispatch.Adapt(c)
+	}
+	ac, ok := any(c).(adaptiveCampaign[Run, Result])
+	if !ok {
+		return nil, fmt.Errorf("experiment: no adaptive campaign named %q", c.Name())
+	}
+	streams, err := ac.roundStreams()
+	if err != nil {
+		return nil, err
+	}
+	rc, err := newRound(ac, streams, *st)
+	if err != nil {
+		return nil, err
+	}
+	return dispatch.Adapt[Run, Result, []Result](rc)
 }
 
 // LookupFromSpec builds the campaign lookup a worker serves shards

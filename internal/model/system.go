@@ -88,6 +88,10 @@ type System struct {
 	fromLo []int
 	byTo   []Edge
 	toLo   []int
+
+	// outputs lists the system outputs in declaration order, built once
+	// by finalize.
+	outputs []SignalID
 }
 
 // finalize interns signals to dense indices and pre-resolves every
@@ -113,6 +117,7 @@ func (s *System) finalize() {
 			m.outIdx[k] = s.sigIdx[pb.Signal]
 		}
 	}
+	s.outputs = s.signalsOfKind(KindSystemOutput)
 	s.buildEdges()
 }
 
@@ -221,7 +226,8 @@ func (s *System) SignalIDs() []SignalID {
 func (s *System) SystemInputs() []SignalID { return s.signalsOfKind(KindSystemInput) }
 
 // SystemOutputs returns the system output signals in declaration order.
-func (s *System) SystemOutputs() []SignalID { return s.signalsOfKind(KindSystemOutput) }
+// The slice is shared and must not be written; appending to it copies.
+func (s *System) SystemOutputs() []SignalID { return s.outputs[:len(s.outputs):len(s.outputs)] }
 
 func (s *System) signalsOfKind(k Kind) []SignalID {
 	var out []SignalID
