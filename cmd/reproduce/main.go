@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -104,6 +105,9 @@ func run() error {
 	progress := flag.Bool("progress", false,
 		"live campaign progress line on stderr (~1 Hz)")
 	flag.Parse()
+	if err := validateSelection(*mode, *artifact); err != nil {
+		return err
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -175,8 +179,25 @@ func run() error {
 			return err
 		}
 	}
-	if *mode != "paper" && *mode != "measured" && *mode != "both" {
-		return fmt.Errorf("unknown -mode %q", *mode)
+	return nil
+}
+
+// modes and artifacts are the accepted -mode and -artifact values.
+var (
+	modes     = []string{"paper", "measured", "both"}
+	artifacts = []string{"all", "table1", "table2", "table3", "table4", "table5",
+		"figure3", "figure4", "figure5", "figure6", "extensions"}
+)
+
+// validateSelection rejects an unknown -mode or -artifact before any
+// work starts: an unknown artifact would otherwise match no section and
+// print nothing but the selections.
+func validateSelection(mode, artifact string) error {
+	if !slices.Contains(modes, mode) {
+		return fmt.Errorf("unknown -mode %q (want %s)", mode, strings.Join(modes, ", "))
+	}
+	if !slices.Contains(artifacts, artifact) {
+		return fmt.Errorf("unknown -artifact %q (want %s)", artifact, strings.Join(artifacts, ", "))
 	}
 	return nil
 }

@@ -392,17 +392,23 @@ func foldedLatencies(res *InternalCoverageResult) string {
 // remainder slice or stopping decision changes the executed runs and
 // the counts. Figure 3's latencies are also hashed in the order they
 // were folded, so a moved fold order changes the digest.
+//
+// The multi-round configurations also run on two sharded workers and
+// in worker subprocesses, where every round after the first reaches
+// the workers re-encoded by withRound; both must give the pinned
+// counts and digests.
 func TestAdaptiveRoundSchedulePinned(t *testing.T) {
 	digest := func(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s)))[:16] }
-	stopping := func(halfWidth float64, minTrials int) Options {
-		opts := determinismOpts(1)
-		opts.Adaptive = true
-		opts.StopHalfWidth = halfWidth
-		opts.StopMinTrials = minTrials
-		return opts
+	stopping := func(halfWidth float64, minTrials int) func(Options) Options {
+		return func(opts Options) Options {
+			opts.Adaptive = true
+			opts.StopHalfWidth = halfWidth
+			opts.StopMinTrials = minTrials
+			return opts
+		}
 	}
-	perm := func(opts Options, perInput int) func() (string, int, int, error) {
-		return func() (string, int, int, error) {
+	perm := func(perInput int) func(Options) (string, int, int, error) {
+		return func(opts Options) (string, int, int, error) {
 			res, err := EstimatePermeability(context.Background(), opts, perInput)
 			if err != nil {
 				return "", 0, 0, err
@@ -410,42 +416,56 @@ func TestAdaptiveRoundSchedulePinned(t *testing.T) {
 			return permeabilityFingerprint(t, res), res.PlannedRuns, res.TotalRuns, nil
 		}
 	}
-	internal := func(opts Options) func() (string, int, int, error) {
-		return func() (string, int, int, error) {
-			res, err := InternalCoverage(context.Background(), opts, 20, 12)
-			if err != nil {
-				return "", 0, 0, err
-			}
-			return internalFingerprint(res) + foldedLatencies(res), res.PlannedRuns, res.ExecutedRuns, nil
+	internal := func(opts Options) (string, int, int, error) {
+		res, err := InternalCoverage(context.Background(), opts, 20, 12)
+		if err != nil {
+			return "", 0, 0, err
 		}
+		return internalFingerprint(res) + foldedLatencies(res), res.PlannedRuns, res.ExecutedRuns, nil
 	}
+	type executorRun struct {
+		name string
+		opts Options
+	}
+	coverageSpec := WorkerSpec{RAMLocations: 20, StackLocations: 12}
 	cases := []struct {
 		name              string
-		run               func() (string, int, int, error)
+		stop              func(Options) Options
+		run               func(Options) (string, int, int, error)
+		spec              WorkerSpec // the subprocess workers' campaign
 		planned, executed int
 		round0            int // most runs round 0 can execute; 0 = not multi-round
 		digest            string
 	}{
-		{"permeability/hw0.25", perm(stoppingPermOpts(determinismOpts(1)), 24), 312, 260, 0, "e97ce0dd189a0483"},
-		{"internal-coverage/hw0.25", internal(stopping(0.25, 10)), 96, 30, 0, "f0a6c31e74494deb"},
-		{"permeability/hw0.15", perm(stopping(0.15, 10), 30), 390, 254, 13 * 10, "6ca903e7d7d32308"},
-		{"internal-coverage/hw0.15", internal(stopping(0.15, 10)), 96, 66, 2 * 15, "3a2a433a3735cf9d"},
+		{"permeability/hw0.25", stoppingPermOpts, perm(24), WorkerSpec{PerInput: 24}, 312, 260, 0, "e97ce0dd189a0483"},
+		{"internal-coverage/hw0.25", stopping(0.25, 10), internal, coverageSpec, 96, 30, 0, "f0a6c31e74494deb"},
+		{"permeability/hw0.15", stopping(0.15, 10), perm(30), WorkerSpec{PerInput: 30}, 390, 254, 13 * 10, "6ca903e7d7d32308"},
+		{"internal-coverage/hw0.15", stopping(0.15, 10), internal, coverageSpec, 96, 66, 2 * 15, "3a2a433a3735cf9d"},
 	}
 	for _, c := range cases {
-		ClearGoldenCache()
-		fp, planned, executed, err := c.run()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		var log syncLog
+		executors := []executorRun{{"serial", c.stop(determinismOpts(1))}}
+		if c.round0 > 0 {
+			executors = append(executors,
+				executorRun{"sharded", c.stop(determinismOpts(2))},
+				executorRun{"subprocess", c.stop(subprocessOpts(t, 2, 4, c.spec, "", &log))})
 		}
-		if planned != c.planned || executed != c.executed {
-			t.Errorf("%s: planned %d, executed %d; pinned %d, %d", c.name, planned, executed, c.planned, c.executed)
-		}
-		if got := digest(fp); got != c.digest {
-			t.Errorf("%s: result digest %s, pinned %s:\n%s", c.name, got, c.digest, fp)
-		}
-		if c.round0 > 0 && executed <= c.round0 {
-			t.Errorf("%s: %d runs fit in round 0 (up to %d); the configuration no longer spans rounds",
-				c.name, executed, c.round0)
+		for _, e := range executors {
+			ClearGoldenCache()
+			fp, planned, executed, err := c.run(e.opts)
+			if err != nil {
+				t.Fatalf("%s on %s: %v\nlog:\n%s", c.name, e.name, err, log.String())
+			}
+			if planned != c.planned || executed != c.executed {
+				t.Errorf("%s on %s: planned %d, executed %d; pinned %d, %d", c.name, e.name, planned, executed, c.planned, c.executed)
+			}
+			if got := digest(fp); got != c.digest {
+				t.Errorf("%s on %s: result digest %s, pinned %s:\n%s", c.name, e.name, got, c.digest, fp)
+			}
+			if c.round0 > 0 && executed <= c.round0 {
+				t.Errorf("%s on %s: %d runs fit in round 0 (up to %d); the configuration no longer spans rounds",
+					c.name, e.name, executed, c.round0)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/campaign"
 	"repro/internal/fi"
@@ -241,6 +242,36 @@ func TestGoldenCheckpointMemory(t *testing.T) {
 		most = max(most, n)
 	}
 	t.Logf("largest golden checkpoint state: %d bytes", most)
+}
+
+// A golden run retains its trace for the rest of the process, so the
+// trace must hold only what was recorded: every column of every default
+// case's golden is exactly Len() samples long, and the 14 columns lie
+// back to back in one allocation.
+func TestGoldenTraceMemory(t *testing.T) {
+	opts := DefaultOptions(1)
+	tgt, err := resolvedTarget(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range opts.Cases {
+		g, err := recordGolden(opts, tgt, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.trace.Len()
+		sigs := g.trace.Signals()
+		base := unsafe.Pointer(unsafe.SliceData(g.trace.Samples(sigs[0])))
+		for i, s := range sigs {
+			col := g.trace.Samples(s)
+			if len(col) != n || cap(col) != n {
+				t.Fatalf("case %d: %s column has len %d, cap %d; want both %d", tc.ID, s, len(col), cap(col), n)
+			}
+			if unsafe.Pointer(unsafe.SliceData(col)) != unsafe.Add(base, i*n*int(unsafe.Sizeof(col[0]))) {
+				t.Fatalf("case %d: %s column is not at offset %d of the golden's one allocation", tc.ID, s, i*n)
+			}
+		}
+	}
 }
 
 func firstMismatch(a, b []model.Word) int {

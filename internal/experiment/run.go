@@ -205,7 +205,7 @@ func runInjection(r rigSpec, m mechanisms, newFault fault, stop stopWhen) (runOu
 	}
 	var rec *trace.Recorder
 	if m.record {
-		rec = trace.NewRecorder(bus, r.t.AllSignals(), 1, stop.ms)
+		rec = trace.NewRecorder(bus, r.t.AllSignals(), 1, stop.ms+stop.tailMs)
 		s.OnPostSlot(rec.Hook)
 	}
 	var ck *checkpointer
@@ -280,7 +280,7 @@ func runInjection(r rigSpec, m mechanisms, newFault fault, stop stopWhen) (runOu
 		out.Recoveries = wrappers.TotalRecoveries()
 	}
 	if rec != nil {
-		out.Trace = rec.Trace()
+		out.Trace = rec.Finish()
 	}
 	if ck != nil {
 		out.Checkpoints = ck.cps

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -26,6 +27,16 @@ type Trace struct {
 // NewTrace creates an empty trace over the given signals, pre-sizing each
 // column for capacityHint samples.
 func NewTrace(signals []model.SignalID, capacityHint int) *Trace {
+	t := newTrace(signals)
+	for i := range t.cols {
+		t.cols[i] = make([]model.Word, 0, capacityHint)
+	}
+	return t
+}
+
+// newTrace creates an empty trace over the given signals whose columns
+// have no storage yet.
+func newTrace(signals []model.SignalID) *Trace {
 	t := &Trace{
 		signals: append([]model.SignalID(nil), signals...),
 		index:   make(map[model.SignalID]int, len(signals)),
@@ -36,7 +47,6 @@ func NewTrace(signals []model.SignalID, capacityHint int) *Trace {
 			panic(fmt.Sprintf("trace: duplicate signal %q", s))
 		}
 		t.index[s] = i
-		t.cols[i] = make([]model.Word, 0, capacityHint)
 	}
 	return t
 }
@@ -132,12 +142,30 @@ func Deviations(golden, injected *Trace) map[model.SignalID]int {
 // scheduler post-slot hook.
 //
 // The recorder resolves its signals to dense bus indices once, so each
-// sample is a slice walk with no map lookups.
+// sample is a slice walk with no map lookups. Its columns live in one
+// pooled buffer sized for the whole horizon; Finish moves the samples
+// into an exact-length allocation and hands the buffer to the next
+// recorder, so a retained trace holds only what was recorded.
 type Recorder struct {
 	bus      *model.Bus
 	trace    *Trace
 	periodMs int64
-	idxs     []int // dense bus index per trace column
+	idxs     []int         // dense bus index per trace column
+	buf      *[]model.Word // pooled column storage; nil once finished
+}
+
+// recordBufs holds recording buffers between runs. Each is one flat
+// array that a recorder carves into per-signal columns.
+var recordBufs sync.Pool
+
+// getRecordBuf returns a pooled buffer of at least n words, or a new one
+// if the pooled buffer is too small (the small one is dropped).
+func getRecordBuf(n int) *[]model.Word {
+	if b, _ := recordBufs.Get().(*[]model.Word); b != nil && cap(*b) >= n {
+		return b
+	}
+	b := make([]model.Word, n)
+	return &b
 }
 
 // NewRecorder records the given signals from the bus every periodMs of
@@ -149,8 +177,14 @@ func NewRecorder(bus *model.Bus, signals []model.SignalID, periodMs, horizonMs i
 	hint := int(horizonMs/periodMs) + 1
 	r := &Recorder{
 		bus:      bus,
-		trace:    NewTrace(signals, hint),
+		trace:    newTrace(signals),
 		periodMs: periodMs,
+		buf:      getRecordBuf(len(signals) * hint),
+	}
+	// Each column is capped at its share of the buffer: one that outgrows
+	// the horizon moves to its own storage instead of overrunning the next.
+	for i := range r.trace.cols {
+		r.trace.cols[i] = (*r.buf)[i*hint : i*hint : (i+1)*hint]
 	}
 	sys := bus.System()
 	for _, s := range signals {
@@ -176,5 +210,28 @@ func (r *Recorder) Hook(nowMs int64) {
 	t.n++
 }
 
-// Trace returns the recorded trace.
+// Trace returns the recorded trace. It is live: samples recorded after
+// the call, and the move made by Finish, show through it.
 func (r *Recorder) Trace() *Trace { return r.trace }
+
+// Finish ends the recording and returns its trace. The samples move into
+// one allocation of exactly Len() samples per column, shared by all
+// columns, and the recording buffer goes back to the pool for the next
+// recorder. Call it once, after the run; a recorder that is never
+// finished keeps its buffer and stays valid.
+func (r *Recorder) Finish() *Trace {
+	t := r.trace
+	if r.buf == nil {
+		return t
+	}
+	n := t.n
+	exact := make([]model.Word, len(t.cols)*n)
+	for i, col := range t.cols {
+		dst := exact[i*n : (i+1)*n : (i+1)*n]
+		copy(dst, col)
+		t.cols[i] = dst
+	}
+	recordBufs.Put(r.buf)
+	r.buf = nil
+	return t
+}

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/model"
 )
@@ -189,4 +191,153 @@ func TestRecorderRejectsBadPeriod(t *testing.T) {
 		}
 	}()
 	NewRecorder(model.NewBus(sys), []model.SignalID{"in"}, 0, 10)
+}
+
+// recFixture is a two-signal bus for recorder tests.
+func recFixture(t *testing.T) *model.Bus {
+	t.Helper()
+	sys, err := model.NewBuilder("rec").
+		AddSignal("a", model.Uint(16), model.AsSystemInput()).
+		AddSignal("b", model.Uint(16), model.AsSystemOutput(1)).
+		AddModule("M", model.In("a"), model.Out("b")).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model.NewBus(sys)
+}
+
+// record drives rec for n slots of period 1, sampling a = base+k and
+// b = base+2k at slot k.
+func record(bus *model.Bus, rec *Recorder, n int, base model.Word) {
+	for k := 0; k < n; k++ {
+		bus.Poke("a", base+model.Word(k))
+		bus.Poke("b", base+2*model.Word(k))
+		rec.Hook(int64(k))
+	}
+}
+
+// checkSamples asserts tr holds exactly the n samples record wrote from
+// base.
+func checkSamples(t *testing.T, tr *Trace, n int, base model.Word) {
+	t.Helper()
+	if tr.Len() != n {
+		t.Fatalf("Len() = %d, want %d", tr.Len(), n)
+	}
+	for _, s := range []struct {
+		sig  model.SignalID
+		step model.Word
+	}{{"a", 1}, {"b", 2}} {
+		col := tr.Samples(s.sig)
+		if len(col) != n {
+			t.Fatalf("%s: %d samples, want %d", s.sig, len(col), n)
+		}
+		for k, v := range col {
+			if want := base + s.step*model.Word(k); v != want {
+				t.Fatalf("%s sample %d = %d, want %d", s.sig, k, v, want)
+			}
+		}
+	}
+}
+
+// checkExact asserts every column of a finished trace is exactly Len()
+// long and the columns lie back to back in one allocation.
+func checkExact(t *testing.T, tr *Trace) {
+	t.Helper()
+	n := tr.Len()
+	base := unsafe.Pointer(unsafe.SliceData(tr.cols[0]))
+	for i, col := range tr.cols {
+		if len(col) != n || cap(col) != n {
+			t.Fatalf("column %d: len %d cap %d, want both %d", i, len(col), cap(col), n)
+		}
+		if unsafe.Pointer(unsafe.SliceData(col)) != unsafe.Add(base, i*n*int(unsafe.Sizeof(col[0]))) {
+			t.Fatalf("column %d is not at offset %d of the trace's allocation", i, i*n)
+		}
+	}
+}
+
+func TestRecorderReusedBufferHasNoStaleTail(t *testing.T) {
+	bus := recFixture(t)
+	reused := false
+	// The pool may drop a buffer (it always may under the race
+	// detector), so try until one is handed on.
+	for attempt := 0; attempt < 50 && !reused; attempt++ {
+		long := NewRecorder(bus, []model.SignalID{"a", "b"}, 1, 100)
+		buf := long.buf
+		record(bus, long, 90, 1000)
+		checkSamples(t, long.Finish(), 90, 1000)
+
+		short := NewRecorder(bus, []model.SignalID{"a", "b"}, 1, 100)
+		reused = short.buf == buf
+		record(bus, short, 7, 3)
+		checkSamples(t, short.Trace(), 7, 3)
+		tr := short.Finish()
+		checkSamples(t, tr, 7, 3)
+		checkExact(t, tr)
+	}
+	if !reused {
+		t.Fatal("no recorder reused a finished recorder's buffer")
+	}
+}
+
+func TestRecorderTraceTakenBeforeRunIsLive(t *testing.T) {
+	bus := recFixture(t)
+	rec := NewRecorder(bus, []model.SignalID{"a", "b"}, 1, 20)
+	tr := rec.Trace()
+	record(bus, rec, 15, 40)
+	checkSamples(t, tr, 15, 40)
+	if got := rec.Finish(); got != tr {
+		t.Fatal("Finish returned a different trace than Trace")
+	}
+	checkSamples(t, tr, 15, 40)
+	checkExact(t, tr)
+}
+
+func TestRecorderNeverFinishedStaysValid(t *testing.T) {
+	bus := recFixture(t)
+	kept := NewRecorder(bus, []model.SignalID{"a", "b"}, 1, 50)
+	record(bus, kept, 30, 500)
+	for i := 0; i < 5; i++ {
+		other := NewRecorder(bus, []model.SignalID{"a", "b"}, 1, 50)
+		record(bus, other, 50, 9000)
+		other.Finish()
+	}
+	checkSamples(t, kept.Trace(), 30, 500)
+}
+
+func TestRecorderOutgrowsHorizon(t *testing.T) {
+	bus := recFixture(t)
+	rec := NewRecorder(bus, []model.SignalID{"a", "b"}, 1, 9)
+	record(bus, rec, 25, 7)
+	checkSamples(t, rec.Trace(), 25, 7)
+	tr := rec.Finish()
+	checkSamples(t, tr, 25, 7)
+	checkExact(t, tr)
+}
+
+// Recorders on several goroutines share the pool; each finished trace
+// must hold its own run's samples.
+func TestRecorderConcurrentRecordings(t *testing.T) {
+	const goroutines, rounds = 4, 20
+	traces := make([][]*Trace, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		bus := recFixture(t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				rec := NewRecorder(bus, []model.SignalID{"a", "b"}, 1, 64)
+				record(bus, rec, 10+r, model.Word(1000*g+r))
+				traces[g] = append(traces[g], rec.Finish())
+			}
+		}()
+	}
+	wg.Wait()
+	for g, trs := range traces {
+		for r, tr := range trs {
+			checkSamples(t, tr, 10+r, model.Word(1000*g+r))
+			checkExact(t, tr)
+		}
+	}
 }
