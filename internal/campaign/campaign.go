@@ -110,8 +110,8 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 	if tel != nil {
 		trace = obs.TraceID(PlanHash(c.Name(), len(plan), keys))
 		root.SetTrace(trace)
-		live = tel.Live.StartCampaign(c.Name(), ex.Name(), trace, len(plan))
-		defer tel.Live.EndCampaign(live)
+		live = tel.StartCampaign(c.Name(), ex.Name(), trace, len(plan))
+		defer tel.EndCampaign(live)
 	}
 
 	results := make([]Result, len(plan))
@@ -127,23 +127,15 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 	// Redispatch deltas bracket the execution so the collector's
 	// row reports only this campaign's movement even when several
 	// campaigns share one process-wide telemetry.
-	var runsDone *obs.Counter
 	mark := MarkTelemetry(tel)
 	if tel != nil {
-		tel.Campaigns.Inc()
-		tel.Reg.Counter("repro_campaign_runs_total", obs.L("campaign", c.Name())).Add(int64(len(plan)))
-		runsDone = tel.Reg.Counter("repro_campaign_runs_done_total", obs.L("campaign", c.Name()))
-		tel.Progress.StartCampaign(c.Name(), len(plan))
-
 		inner := fn
 		fn = func(i int) error {
 			runStart := time.Now()
 			err := inner(i)
 			tel.RunDur.ObserveSince(runStart)
 			if err == nil {
-				runsDone.Inc()
-				tel.Progress.RunDone(1)
-				live.RunDone()
+				tel.RunDone(live)
 			}
 			return err
 		}
@@ -177,11 +169,7 @@ func Execute[Run, Result, Out any](ctx context.Context, c Campaign[Run, Result, 
 					results[i] = res
 					// Runs dispatched to worker processes (or replayed
 					// from a checkpoint) land here, not through fn.
-					runsDone.Inc()
-					if tel != nil {
-						tel.Progress.RunDone(1)
-						live.RunDone()
-					}
+					tel.RunDone(live)
 					return nil
 				},
 			})

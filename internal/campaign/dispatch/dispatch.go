@@ -99,9 +99,6 @@ func (s *Subprocess) Name() string {
 	return fmt.Sprintf("%s(workers=%d,shards=%d)", mode, co.workers(), co.shards())
 }
 
-func (s *Subprocess) shardTimeout() time.Duration { return s.coordinator().shardTimeout() }
-func (s *Subprocess) attempts() int               { return s.coordinator().attempts() }
-
 // Run is the plain executor path, used when a campaign has no wire
 // codec: nothing can cross a process boundary, so it executes on the
 // in-process sharded pool with the same partition.
@@ -133,9 +130,9 @@ func (s *Subprocess) coordinator() *coordinator {
 // transport resumes under the other.
 //
 // Its connector list is dial-out (Addrs) and accept-in (Listen), then
-// spawn (Fallback's Command), then in-process execution. On top of the
-// shared per-shard deadline/retry/integrity machinery, the network
-// rung adds:
+// spawn (the embedded Subprocess's Command), then in-process
+// execution. On top of the shared per-shard deadline/retry/integrity
+// machinery, the network rung adds:
 //
 //   - workers heartbeat while connected (even mid-shard), so a dead
 //     connection is detected after ~3 missed beats instead of the full
@@ -150,6 +147,11 @@ func (s *Subprocess) coordinator() *coordinator {
 //     none returning — each waiting shard runs in-process rather than
 //     stalling the campaign.
 type Fleet struct {
+	// Subprocess holds the scheduling settings — Workers, Shards,
+	// ShardTimeout, Retries, backoff, Seed, Checkpoint, Log — and the
+	// spawn rung the fleet falls back to when it is empty (an empty
+	// Command degrades straight to in-process execution).
+	Subprocess
 	// Addrs lists worker agent endpoints to dial (host:port).
 	Addrs []string
 	// Listen, when non-empty, also accepts incoming worker
@@ -164,13 +166,6 @@ type Fleet struct {
 	// Tap, when non-nil, intercepts every frame on every connection —
 	// the chaos seam.
 	Tap dnet.Tap
-	// Workers bounds how many shards are in flight at once (>= 1).
-	Workers int
-	// Shards is the partition width (0 selects campaign.DefaultShards).
-	Shards int
-	// ShardTimeout is the per-shard deadline (0 selects
-	// DefaultShardTimeout).
-	ShardTimeout time.Duration
 	// Heartbeat is the worker ping interval (0 selects
 	// DefaultHeartbeat; negative disables heartbeats and dead-peer
 	// read deadlines).
@@ -179,27 +174,9 @@ type Fleet struct {
 	// duplicate is dispatched to another worker (0 selects half the
 	// shard deadline; negative disables straggler re-dispatch).
 	StragglerAfter time.Duration
-	// Retries is how many times a failed shard is re-dispatched after
-	// its first attempt (0 selects 2; negative disables retries).
-	Retries int
-	// BackoffBase and BackoffCap shape retry and reconnect backoff
-	// (zero selects 2 ms and 250 ms).
-	BackoffBase, BackoffCap time.Duration
-	// Seed feeds the deterministic backoff jitter.
-	Seed int64
-	// Checkpoint, when non-empty, names the shard journal enabling
-	// crash/resume — the same journal format as Subprocess.
-	Checkpoint string
 	// ConnectWait is how long to wait for the first worker before
 	// degrading (0 selects DefaultConnectWait).
 	ConnectWait time.Duration
-	// Fallback carries the subprocess configuration (Command, Env,
-	// WorkerStderr) of the spawn rung used when the fleet is empty; nil
-	// degrades straight to in-process execution. Scheduling fields come
-	// from the Fleet either way.
-	Fallback *Subprocess
-	// Log receives coordinator diagnostics (nil discards them).
-	Log io.Writer
 }
 
 func (f *Fleet) Name() string {
@@ -207,15 +184,8 @@ func (f *Fleet) Name() string {
 	if f.Listen != "" {
 		endpoints++
 	}
-	co := f.coordinator("")
+	co := f.Subprocess.coordinator()
 	return fmt.Sprintf("fleet(workers=%d,shards=%d,endpoints=%d)", co.workers(), co.shards(), endpoints)
-}
-
-// Run is the plain executor path, used when a campaign has no wire
-// codec: nothing can cross a process boundary, so it executes on the
-// in-process sharded pool with the same partition.
-func (f *Fleet) Run(ctx context.Context, n int, keys []uint64, fn func(i int) error) error {
-	return f.coordinator("").Run(ctx, n, keys, fn)
 }
 
 // RunPayload executes the campaign's plan across the fleet: resume
@@ -227,18 +197,12 @@ func (f *Fleet) RunPayload(ctx context.Context, job campaign.PayloadJob) error {
 	return f.coordinator(obs.TraceFromContext(ctx)).RunPayload(ctx, job)
 }
 
-// coordinator builds the fleet's coordinator; trace is the campaign
-// trace id announced to joining agents.
+// coordinator builds the fleet's coordinator: the network rung ahead
+// of the embedded Subprocess's; trace is the campaign trace id
+// announced to joining agents.
 func (f *Fleet) coordinator(trace string) *coordinator {
-	co := &coordinator{sched: Subprocess{
-		Workers: f.Workers, Shards: f.Shards, ShardTimeout: f.ShardTimeout,
-		Retries: f.Retries, BackoffBase: f.BackoffBase, BackoffCap: f.BackoffCap,
-		Seed: f.Seed, Checkpoint: f.Checkpoint, Log: f.Log,
-	}}
-	co.tiers = append(co.tiers, co.fleetTier(f, trace))
-	if fb := f.Fallback; fb != nil && len(fb.Command) > 0 {
-		co.tiers = append(co.tiers, co.spawnTier(spawner{argv: fb.Command, env: fb.Env, stderr: fb.WorkerStderr}))
-	}
+	co := f.Subprocess.coordinator()
+	co.tiers = append([]tier{co.fleetTier(f, trace)}, co.tiers...)
 	return co
 }
 
@@ -248,9 +212,7 @@ func (f *Fleet) coordinator(trace string) *coordinator {
 // tiers share — partition, journal, retry, integrity checks and phase
 // attribution — so each lives in exactly one place.
 type coordinator struct {
-	// sched holds the scheduling settings both config types share, in
-	// Subprocess's shape; its Command, Env and WorkerStderr are unused
-	// (they live in the spawn tier).
+	// sched is the executor's configuration.
 	sched Subprocess
 	tiers []tier
 	seq   atomic.Uint64
@@ -458,12 +420,7 @@ func (co *coordinator) RunPayload(ctx context.Context, job campaign.PayloadJob) 
 		tasks = append(tasks, task{id: shardID(job.PlanHash, b.ID, b.Runs), indices: b.Runs})
 	}
 	tel := obs.Active()
-	if tel != nil {
-		tel.DispatchShards.Add(int64(len(tasks)))
-		tel.ShardsPlanned.Add(int64(len(tasks)))
-		tel.Progress.SetShards(len(tasks))
-		tel.Live.SetShards(len(tasks))
-	}
+	tel.PlanShards(len(tasks), true)
 
 	var j *journal
 	if co.sched.Checkpoint != "" {
@@ -554,9 +511,9 @@ func (co *coordinator) resumeJournaled(job campaign.PayloadJob, tasks []task, j 
 				resumed++
 				if tel != nil {
 					tel.DispatchResumed.Inc()
-					tel.DispatchDone.Inc()
-					tel.ShardsDone.Inc()
-					tel.Progress.ShardDone()
+					tel.FinishShard(obs.ShardStatus{
+						ID: hex64(t.id), Worker: "checkpoint", State: "done", Runs: len(t.indices),
+					}, 0, true)
 				}
 				continue
 			}
@@ -618,7 +575,7 @@ func (co *coordinator) runShard(ctx context.Context, job campaign.PayloadJob, t 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		payloads, err := co.attempt(ctx, job, t, j != nil, reg)
+		payloads, done, err := co.attempt(ctx, job, t, j != nil, reg)
 		if err == nil {
 			if j != nil {
 				if aerr := j.append(job.Campaign, hex64(job.PlanHash), hex64(t.id), payloads); aerr != nil {
@@ -629,11 +586,7 @@ func (co *coordinator) runShard(ctx context.Context, job campaign.PayloadJob, t 
 				co.logf("dispatch: shard %s (%d runs) completed on attempt %d/%d", hex64(t.id), len(t.indices), attempt, attempts)
 			}
 			if tel != nil {
-				tel.ShardDur.ObserveSince(shardStart)
-				tel.DispatchDone.Inc()
-				tel.ShardsDone.Inc()
-				tel.Progress.ShardDone()
-				tel.Live.ShardDone()
+				tel.FinishShard(done, time.Since(shardStart), true)
 			}
 			return nil
 		}
@@ -669,10 +622,7 @@ func (co *coordinator) runShard(ctx context.Context, job campaign.PayloadJob, t 
 			co.logf("dispatch: shard %s attempt %d/%d failed; retrying in %s", hex64(t.id), attempt, attempts, d)
 		}
 		if tel != nil {
-			tel.DispatchRetries.Inc()
-			tel.Progress.Retry()
-			tel.Live.Retry()
-			tel.Live.UpdateShard(obs.ShardStatus{
+			tel.RetryShard(obs.ShardStatus{
 				ID: hex64(t.id), State: "retrying",
 				Runs: len(t.indices), Attempts: attempt,
 			})
@@ -709,8 +659,9 @@ type flight struct {
 // result wins — the loser's payloads are never stored, so duplication
 // cannot change output. Connections that produced transport errors or
 // corrupt results are destroyed (their connector opens fresh ones);
-// healthy ones return to the rotation.
-func (co *coordinator) attempt(ctx context.Context, job campaign.PayloadJob, t task, journaling bool, reg *registry) ([]runPayload, error) {
+// healthy ones return to the rotation. With telemetry on, a successful
+// attempt also returns the shard's final status.
+func (co *coordinator) attempt(ctx context.Context, job campaign.PayloadJob, t task, journaling bool, reg *registry) ([]runPayload, obs.ShardStatus, error) {
 	if reg == nil {
 		return runShardInProcess(ctx, job, t, journaling)
 	}
@@ -732,7 +683,7 @@ func (co *coordinator) attempt(ctx context.Context, job campaign.PayloadJob, t t
 		return runShardInProcess(ctx, job, t, journaling)
 	}
 	if err != nil {
-		return nil, err
+		return nil, obs.ShardStatus{}, err
 	}
 	queueMs := int64(0)
 	if tel != nil {
@@ -790,6 +741,7 @@ func (co *coordinator) attempt(ctx context.Context, job campaign.PayloadJob, t t
 			// duplicate would report too: either way the worker is healthy.
 			reg.release(fl.w)
 			drainFlights(reg, results, inflight)
+			var done obs.ShardStatus
 			if err == nil && tel != nil {
 				// Attribute the winning flight: queue (waiting for a
 				// worker), exec (the worker's own root-span time), net
@@ -803,14 +755,14 @@ func (co *coordinator) attempt(ctx context.Context, job campaign.PayloadJob, t t
 				sp.SetAttr("net_ms", strconv.FormatInt(netMs, 10))
 				tel.Events.FoldSpans(sp, trace, fl.resp.Spans)
 				tel.TraceWorkerSpans.Add(int64(len(fl.resp.Spans)))
-				tel.Live.UpdateShard(obs.ShardStatus{
+				done = obs.ShardStatus{
 					ID: hex64(t.id), Worker: fl.w.id, State: "done",
 					Runs:    len(t.indices),
 					WallMs:  time.Since(start).Milliseconds(),
 					QueueMs: queueMs, ExecMs: execMs, NetMs: netMs,
-				})
+				}
 			}
-			return payloads, err
+			return payloads, done, err
 		case <-stragglerC:
 			stragglerC = nil
 			if dup, ok := reg.tryAcquire(); ok {
@@ -830,10 +782,10 @@ func (co *coordinator) attempt(ctx context.Context, job campaign.PayloadJob, t t
 			}
 		case <-ctx.Done():
 			drainFlights(reg, results, inflight)
-			return nil, ctx.Err()
+			return nil, obs.ShardStatus{}, ctx.Err()
 		}
 	}
-	return nil, lastErr
+	return nil, obs.ShardStatus{}, lastErr
 }
 
 // drainFlights reaps abandoned duplicate dispatches in the background:
@@ -857,8 +809,9 @@ func drainFlights(reg *registry, results chan flight, inflight int) {
 
 // runShardInProcess is the degraded path: execute the shard's runs in
 // this process (results land via job.Exec) and, when journaling,
-// encode them for the checkpoint. Campaign errors are permanent.
-func runShardInProcess(ctx context.Context, job campaign.PayloadJob, t task, journaling bool) ([]runPayload, error) {
+// encode them for the checkpoint. Campaign errors are permanent. With
+// telemetry on, it also returns the shard's final status.
+func runShardInProcess(ctx context.Context, job campaign.PayloadJob, t task, journaling bool) ([]runPayload, obs.ShardStatus, error) {
 	tel := obs.Active()
 	var sp *obs.Span
 	var start time.Time
@@ -873,28 +826,29 @@ func runShardInProcess(ctx context.Context, job campaign.PayloadJob, t task, jou
 	var payloads []runPayload
 	for _, i := range t.indices {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, obs.ShardStatus{}, err
 		}
 		if err := job.Exec(i); err != nil {
-			return nil, &permanentError{err}
+			return nil, obs.ShardStatus{}, &permanentError{err}
 		}
 		if journaling {
 			p, err := job.Encode(i)
 			if err != nil {
-				return nil, &permanentError{err}
+				return nil, obs.ShardStatus{}, &permanentError{err}
 			}
 			payloads = append(payloads, runPayload{Index: i, Payload: p})
 		}
 	}
+	var done obs.ShardStatus
 	if tel != nil {
 		wall := time.Since(start).Milliseconds()
 		sp.SetAttr("exec_ms", strconv.FormatInt(wall, 10))
-		tel.Live.UpdateShard(obs.ShardStatus{
+		done = obs.ShardStatus{
 			ID: hex64(t.id), Worker: "inproc", State: "done",
 			Runs: len(t.indices), WallMs: wall, ExecMs: wall,
-		})
+		}
 	}
-	return payloads, nil
+	return payloads, done, nil
 }
 
 // verifyAndStore checks one shard response end to end — worker-side

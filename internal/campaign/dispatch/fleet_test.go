@@ -98,15 +98,17 @@ func startAgent(t *testing.T, factory LookupFactory, tap dnet.Tap) (addr string,
 // timeouts.
 func testFleet(n int, addrs ...string) *Fleet {
 	return &Fleet{
-		Addrs:        addrs,
-		Spec:         cubesSpec(n, -1),
-		Workers:      2,
-		Shards:       8,
-		ShardTimeout: 30 * time.Second,
-		Heartbeat:    200 * time.Millisecond,
-		BackoffBase:  time.Millisecond,
-		BackoffCap:   4 * time.Millisecond,
-		ConnectWait:  10 * time.Second,
+		Subprocess: Subprocess{
+			Workers:      2,
+			Shards:       8,
+			ShardTimeout: 30 * time.Second,
+			BackoffBase:  time.Millisecond,
+			BackoffCap:   4 * time.Millisecond,
+		},
+		Addrs:       addrs,
+		Spec:        cubesSpec(n, -1),
+		Heartbeat:   200 * time.Millisecond,
+		ConnectWait: 10 * time.Second,
 	}
 }
 
@@ -355,7 +357,7 @@ func TestFleetStragglerRedispatch(t *testing.T) {
 
 // TestFleetDegradesWithoutWorkers pins the degradation ladder's bottom
 // rung: no agent is reachable, so after ConnectWait the whole campaign
-// falls back — here (no Fallback command) to in-process execution —
+// falls back — here (no spawn Command) to in-process execution —
 // and the output is still byte-identical to serial.
 func TestFleetDegradesWithoutWorkers(t *testing.T) {
 	const n = 16
@@ -514,7 +516,7 @@ func TestFleetRejectsBadSpec(t *testing.T) {
 
 // TestFleetName pins the executor's diagnostic name shape.
 func TestFleetName(t *testing.T) {
-	f := &Fleet{Addrs: []string{"a:1", "b:2"}, Listen: "c:3", Workers: 4, Shards: 8}
+	f := &Fleet{Subprocess: Subprocess{Workers: 4, Shards: 8}, Addrs: []string{"a:1", "b:2"}, Listen: "c:3"}
 	want := "fleet(workers=4,shards=8,endpoints=" + strconv.Itoa(3) + ")"
 	if got := f.Name(); got != want {
 		t.Errorf("Name() = %q, want %q", got, want)

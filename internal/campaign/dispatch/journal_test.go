@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // TestCheckpointResumeIsByteIdentical is the resume pin: a campaign
@@ -36,13 +37,19 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	}
 
 	// Second invocation: same campaign identity, no failure. Journaled
-	// shards are replayed, not re-executed.
+	// shards are replayed, not re-executed, and count as done in Live.
+	tel := obs.New(obs.Config{})
+	defer obs.Install(obs.Install(tel))
 	var log2 bytes.Buffer
 	second := &Subprocess{Workers: 1, Shards: 8, Checkpoint: ckpt, Log: &log2}
 	c2 := cubes{n: n, failAt: -1, hits: &atomic.Int64{}}
-	got, err := campaign.Execute[int, int, string](context.Background(), c2, second, nil)
+	var snap obs.Snapshot
+	got, err := campaign.Execute[int, int, string](context.Background(), liveAtReduce{c2, tel, &snap}, second, nil)
 	if err != nil {
 		t.Fatalf("resume: %v\nlog:\n%s", err, log2.String())
+	}
+	if cp := snap.Campaign; cp == nil || cp.ShardsTotal != 8 || cp.ShardsDone != cp.ShardsTotal || len(snap.Shards) != 8 {
+		t.Errorf("Live at the end of the resumed campaign: %+v with %d shard statuses, want 8/8 shards done", cp, len(snap.Shards))
 	}
 	if got != want {
 		t.Errorf("resumed output diverged from uninterrupted run\n got %s\nwant %s", got, want)
@@ -66,6 +73,19 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	if c3.hits.Load() != 0 {
 		t.Errorf("fully journaled replay still executed %d runs", c3.hits.Load())
 	}
+}
+
+// liveAtReduce is cubes that records Live's snapshot as the campaign
+// reduces: every shard has finished and the campaign is still running.
+type liveAtReduce struct {
+	cubes
+	tel  *obs.Telemetry
+	snap *obs.Snapshot
+}
+
+func (c liveAtReduce) Reduce(plan []int, results []int) (string, error) {
+	*c.snap = c.tel.Live.Snapshot()
+	return c.cubes.Reduce(plan, results)
 }
 
 // TestCheckpointResumeAcrossWorkerProcesses runs the interrupted
@@ -223,17 +243,17 @@ func TestJournalRejectsCorruptedEntries(t *testing.T) {
 
 // TestSubprocessShardTimeoutDefaults sanity-checks option defaulting.
 func TestSubprocessShardTimeoutDefaults(t *testing.T) {
-	s := &Subprocess{}
-	if s.shardTimeout() != DefaultShardTimeout {
-		t.Errorf("shardTimeout = %v, want %v", s.shardTimeout(), DefaultShardTimeout)
+	co := (&Subprocess{}).coordinator()
+	if co.shardTimeout() != DefaultShardTimeout {
+		t.Errorf("shardTimeout = %v, want %v", co.shardTimeout(), DefaultShardTimeout)
 	}
-	if s.attempts() != defaultAttempts {
-		t.Errorf("attempts = %d, want %d", s.attempts(), defaultAttempts)
+	if co.attempts() != defaultAttempts {
+		t.Errorf("attempts = %d, want %d", co.attempts(), defaultAttempts)
 	}
-	if (&Subprocess{Retries: -1}).attempts() != 1 {
+	if (&Subprocess{Retries: -1}).coordinator().attempts() != 1 {
 		t.Error("negative Retries should disable retrying")
 	}
-	if (&Subprocess{ShardTimeout: time.Second}).shardTimeout() != time.Second {
+	if (&Subprocess{ShardTimeout: time.Second}).coordinator().shardTimeout() != time.Second {
 		t.Error("explicit ShardTimeout ignored")
 	}
 }

@@ -94,11 +94,7 @@ func (s Sharded) shards() int {
 func (s Sharded) Run(ctx context.Context, n int, keys []uint64, fn func(i int) error) error {
 	buckets := Partition(n, keys, s.shards())
 	tel := obs.Active()
-	if tel != nil {
-		tel.ShardsPlanned.Add(int64(len(buckets)))
-		tel.Progress.SetShards(len(buckets))
-		tel.Live.SetShards(len(buckets))
-	}
+	tel.PlanShards(len(buckets), false)
 	parent := obs.SpanFromContext(ctx)
 	return RunSlots(ctx, buckets, s.Workers, func(ctx context.Context, b Bucket) error {
 		var shardStart time.Time
@@ -124,15 +120,11 @@ func (s Sharded) Run(ctx context.Context, n int, keys []uint64, fn func(i int) e
 			return err
 		}
 		wall := time.Since(shardStart)
-		tel.ShardDur.Observe(wall.Seconds())
-		tel.ShardsDone.Inc()
-		tel.Progress.ShardDone()
-		tel.Live.ShardDone()
-		tel.Live.UpdateShard(obs.ShardStatus{
+		tel.FinishShard(obs.ShardStatus{
 			ID: strconv.Itoa(b.ID), Worker: "local",
 			State: "done", Runs: len(b.Runs),
 			WallMs: wall.Milliseconds(), ExecMs: wall.Milliseconds(),
-		})
+		}, wall, false)
 		return nil
 	})
 }

@@ -229,11 +229,6 @@ func (b *Bank) Reset() {
 	}
 }
 
-// Wrappers returns the deployed wrappers in spec order.
-func (b *Bank) Wrappers() []*Wrapper {
-	return append([]*Wrapper(nil), b.wrappers...)
-}
-
 // Recovered reports whether any wrapper recovered a write this run.
 func (b *Bank) Recovered() bool {
 	for _, w := range b.wrappers {

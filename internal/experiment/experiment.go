@@ -187,7 +187,7 @@ func (o Options) Validate() error {
 // reference.
 func (o Options) executor() campaign.Executor {
 	if d := o.Dispatch; d != nil {
-		sub := &dispatch.Subprocess{
+		sub := dispatch.Subprocess{
 			Command:      d.Command,
 			Env:          d.Env,
 			WorkerStderr: d.WorkerStderr,
@@ -201,21 +201,14 @@ func (o Options) executor() campaign.Executor {
 		}
 		if len(d.Fleet) > 0 || d.FleetListen != "" {
 			return &dispatch.Fleet{
-				Addrs:        d.Fleet,
-				Listen:       d.FleetListen,
-				Spec:         d.Spec,
-				Workers:      o.Workers,
-				Shards:       o.Shards,
-				ShardTimeout: d.ShardTimeout,
-				Heartbeat:    d.Heartbeat,
-				Retries:      d.Retries,
-				Seed:         o.Seed,
-				Checkpoint:   d.Checkpoint,
-				Log:          d.Log,
-				Fallback:     sub,
+				Subprocess: sub,
+				Addrs:      d.Fleet,
+				Listen:     d.FleetListen,
+				Spec:       d.Spec,
+				Heartbeat:  d.Heartbeat,
 			}
 		}
-		return sub
+		return &sub
 	}
 	if o.Workers <= 1 {
 		// One shard, not o.Shards: plan order and a single shard span.

@@ -98,9 +98,6 @@ func (in *Injector) ReadHook() model.ReadHook {
 	}
 }
 
-// Flip returns the driven flip.
-func (in *Injector) Flip() *ReadFlip { return in.flip }
-
 // Attach installs the clock hook and the read hook.
 func (in *Injector) Attach(s *sched.Scheduler, bus *model.Bus, _ *memmap.Map) {
 	s.OnPreSlot(in.Hook)

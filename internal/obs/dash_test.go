@@ -48,8 +48,8 @@ func TestEventsEndpointStreamsSnapshots(t *testing.T) {
 	srv := httptest.NewServer(tel.Handler())
 	defer srv.Close()
 
-	c := tel.Live.StartCampaign("permeability", "sharded", "00000000000000aa", 50)
-	c.RunDone()
+	c := tel.StartCampaign("permeability", "sharded", "00000000000000aa", 50)
+	tel.RunDone(c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

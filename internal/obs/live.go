@@ -8,15 +8,19 @@ import (
 	"time"
 )
 
-// Live is the in-memory operations view behind /events (SSE) and /dash.
-// It mirrors the Progress call sites — campaign start/end, run done,
-// shard planned/done, retry — plus per-shard phase attribution and
-// fleet worker membership, and publishes JSON snapshots to subscribers.
+// Live is the one record of campaign progress: the running campaign's
+// runs, shards and retries (a LiveCampaign), per-shard status with its
+// phase attribution, fleet worker membership and recently finished
+// campaigns. /events (SSE) and /dash publish it as JSON snapshots, and
+// the progress line renders the same LiveCampaign, so every count they
+// show has one source.
 //
-// The hot path (RunDone) is a single atomic add on the LiveCampaign
-// returned by StartCampaign; per-run updates never publish — runs ride
-// the periodic snapshots the SSE handler emits. Shard and worker
-// transitions are rare, so they publish immediately.
+// Campaign counts change only through Telemetry's entry points
+// (StartCampaign, RunDone, PlanShards, FinishShard, RetryShard,
+// EndCampaign). The hot path (RunDone) is atomic adds on the
+// LiveCampaign; per-run updates never publish — runs ride the periodic
+// snapshots the SSE handler emits. Shard and worker transitions are
+// rare, so they publish immediately.
 //
 // All methods are nil-safe no-ops, matching the rest of the package.
 type Live struct {
@@ -37,25 +41,118 @@ func NewLive() *Live {
 	}
 }
 
-// LiveCampaign tracks one running campaign with lock-free counters so
-// the engine's per-run callback stays cheap. Nil-safe.
+// LiveCampaign is one campaign's record, kept in lock-free counters so
+// the engine's per-run path stays cheap. Nil-safe.
 type LiveCampaign struct {
 	name        string
 	executor    string
 	trace       string
 	startedAt   time.Time
 	runsTotal   int64
+	doneSeries  *Counter // the campaign's repro_campaign_runs_done_total series
 	runsDone    atomic.Int64
 	retries     atomic.Int64
 	shardsTotal atomic.Int64
 	shardsDone  atomic.Int64
 }
 
-// RunDone counts one completed run. Never publishes.
-func (c *LiveCampaign) RunDone() {
-	if c != nil {
-		c.runsDone.Add(1)
+// The engine reports a campaign's progress through the entry points
+// below, one per event. Each updates the registry series, the
+// campaign's record in Live and the progress line together. All are
+// nil-safe.
+
+// StartCampaign begins the record of a campaign of runs planned runs
+// on the named executor; trace is its trace id. Shard detail from any
+// previous campaign is cleared so the dashboard shows this one.
+func (t *Telemetry) StartCampaign(name, executor, trace string, runs int) *LiveCampaign {
+	if t == nil {
+		return nil
 	}
+	t.Campaigns.Inc()
+	t.Reg.Counter("repro_campaign_runs_total", L("campaign", name)).Add(int64(runs))
+	c := &LiveCampaign{
+		name: name, executor: executor, trace: trace,
+		startedAt: time.Now(), runsTotal: int64(runs),
+		doneSeries: t.Reg.Counter("repro_campaign_runs_done_total", L("campaign", name)),
+	}
+	t.Live.start(c)
+	t.Progress.show(c)
+	return c
+}
+
+// EndCampaign moves c into Live's finished campaigns. The progress
+// line keeps showing c until the next campaign starts.
+func (t *Telemetry) EndCampaign(c *LiveCampaign) {
+	if t != nil {
+		t.Live.end(c)
+	}
+}
+
+// RunDone counts one completed run of c. It is the per-run hot path:
+// atomic adds and the progress line's rate-limit check; it never
+// publishes and never allocates.
+func (t *Telemetry) RunDone(c *LiveCampaign) {
+	if t == nil || c == nil {
+		return
+	}
+	c.runsDone.Add(1)
+	c.doneSeries.Inc()
+	t.Progress.update(false)
+}
+
+// PlanShards records the n shards the running campaign is partitioned
+// into. dispatched marks the subprocess and fleet dispatcher's shards,
+// which it also counts in its own series.
+func (t *Telemetry) PlanShards(n int, dispatched bool) {
+	if t == nil {
+		return
+	}
+	t.ShardsPlanned.Add(int64(n))
+	if dispatched {
+		t.DispatchShards.Add(int64(n))
+	}
+	if c := t.Live.running(); c != nil {
+		c.shardsTotal.Store(int64(n))
+	}
+	t.Live.publish()
+	t.Progress.update(false)
+}
+
+// FinishShard records one completed shard of the running campaign with
+// its final status s. wall is the shard's time in this process, every
+// attempt included; a shard replayed from a checkpoint journal ran in
+// an earlier process, passes 0 and stays out of the duration histogram.
+// dispatched is as for PlanShards.
+func (t *Telemetry) FinishShard(s ShardStatus, wall time.Duration, dispatched bool) {
+	if t == nil {
+		return
+	}
+	if wall > 0 {
+		t.ShardDur.Observe(wall.Seconds())
+	}
+	t.ShardsDone.Inc()
+	if dispatched {
+		t.DispatchDone.Inc()
+	}
+	if c := t.Live.running(); c != nil {
+		c.shardsDone.Add(1)
+	}
+	t.Live.UpdateShard(s)
+	t.Progress.update(false)
+}
+
+// RetryShard records one re-dispatch of a shard of the running
+// campaign; s is the shard's status while it waits.
+func (t *Telemetry) RetryShard(s ShardStatus) {
+	if t == nil {
+		return
+	}
+	t.DispatchRetries.Inc()
+	if c := t.Live.running(); c != nil {
+		c.retries.Add(1)
+	}
+	t.Live.UpdateShard(s)
+	t.Progress.update(false)
 }
 
 // ShardStatus is the live state of one shard, including the phase
@@ -113,27 +210,21 @@ type CampaignProgress struct {
 	ElapsedMs   int64  `json:"elapsed_ms"`
 }
 
-// StartCampaign begins tracking a campaign and returns its counter
-// block for the hot path. Shard detail from any previous campaign is
-// cleared so the dashboard shows the current one.
-func (l *Live) StartCampaign(name, executor, trace string, runsTotal int) *LiveCampaign {
+// start makes c the running campaign, clearing the previous
+// campaign's shard detail.
+func (l *Live) start(c *LiveCampaign) {
 	if l == nil {
-		return nil
-	}
-	c := &LiveCampaign{
-		name: name, executor: executor, trace: trace,
-		startedAt: time.Now(), runsTotal: int64(runsTotal),
+		return
 	}
 	l.mu.Lock()
 	l.current = c
 	l.shards = make(map[string]ShardStatus)
 	l.mu.Unlock()
 	l.publish()
-	return c
 }
 
-// EndCampaign moves the current campaign into the done list.
-func (l *Live) EndCampaign(c *LiveCampaign) {
+// end moves c into the done list.
+func (l *Live) end(c *LiveCampaign) {
 	if l == nil || c == nil {
 		return
 	}
@@ -155,45 +246,14 @@ func (l *Live) EndCampaign(c *LiveCampaign) {
 	l.publish()
 }
 
-// SetShards records the planned shard count for the current campaign.
-func (l *Live) SetShards(n int) {
+// running returns the running campaign, or nil.
+func (l *Live) running() *LiveCampaign {
 	if l == nil {
-		return
+		return nil
 	}
 	l.mu.Lock()
-	c := l.current
-	l.mu.Unlock()
-	if c != nil {
-		c.shardsTotal.Store(int64(n))
-	}
-	l.publish()
-}
-
-// ShardDone counts one completed shard for the current campaign.
-func (l *Live) ShardDone() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	c := l.current
-	l.mu.Unlock()
-	if c != nil {
-		c.shardsDone.Add(1)
-	}
-	l.publish()
-}
-
-// Retry counts one shard re-dispatch for the current campaign.
-func (l *Live) Retry() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	c := l.current
-	l.mu.Unlock()
-	if c != nil {
-		c.retries.Add(1)
-	}
+	defer l.mu.Unlock()
+	return l.current
 }
 
 // UpdateShard upserts one shard's live status and publishes. Call

@@ -43,10 +43,12 @@ type Telemetry struct {
 	// Events, when non-nil, receives NDJSON span/event records
 	// (the -events-out stream).
 	Events *EventLog
-	// Progress, when non-nil, renders the live stderr progress line.
+	// Progress, when non-nil, renders the running campaign's record
+	// in Live as the stderr progress line; it counts nothing itself.
 	Progress *Progress
-	// Live is the in-memory operations view behind the /events SSE
-	// stream and the /dash page. Always present on a built Telemetry.
+	// Live is the one record of campaign progress, behind the /events
+	// SSE stream, the /dash page and the progress line. Always present
+	// on a built Telemetry.
 	Live *Live
 
 	start time.Time

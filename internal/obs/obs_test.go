@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -73,10 +74,12 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 	l.Flush()
 	s.End()
 	s.Child("y", nil).End()
-	p.StartCampaign("x", 1)
-	p.RunDone(1)
-	p.ShardDone()
-	p.Retry()
+	lc := n.StartCampaign("x", "serial", "", 1)
+	n.RunDone(lc)
+	n.PlanShards(1, true)
+	n.FinishShard(ShardStatus{ID: "0"}, time.Second, true)
+	n.RetryShard(ShardStatus{ID: "0"})
+	n.EndCampaign(lc)
 	p.Stop()
 	n.Close()
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
@@ -277,32 +280,89 @@ func TestSnapshotDeltaMerge(t *testing.T) {
 
 func TestProgressLine(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProgress(&buf, time.Nanosecond) // render on every update
-	p.StartCampaign("permeability", 100)
-	p.SetShards(4)
-	p.RunDone(25)
-	p.ShardDone()
-	p.Retry()
-	p.Stop()
+	tel := New(Config{ProgressSink: &buf, ProgressInterval: time.Nanosecond}) // render on every update
+	a := tel.StartCampaign("permeability", "sharded", "", 100)
+	tel.PlanShards(4, false)
+	for i := 0; i < 25; i++ {
+		tel.RunDone(a)
+	}
+	tel.FinishShard(ShardStatus{ID: "0", State: "done", Runs: 25}, time.Millisecond, false)
+	tel.RetryShard(ShardStatus{ID: "1", State: "retrying", Runs: 25, Attempts: 1})
+	tel.EndCampaign(a)
 	out := buf.String()
 	for _, want := range []string{"[permeability]", "shards 1/4", "runs 25/100", "25.0%", "retries 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress line missing %q:\n%q", want, out)
 		}
 	}
+	// Retries are counted per campaign: the next campaign's line starts
+	// again from zero.
+	b := tel.StartCampaign("b", "sharded", "", 10)
+	tel.RunDone(b)
+	tel.EndCampaign(b)
+	tel.Close()
+	out = buf.String()
+	if last := out[strings.LastIndex(out, "\r"):]; !strings.Contains(last, "[b]") || !strings.Contains(last, "retries 0") {
+		t.Errorf("second campaign's final line = %q, want [b] with retries 0", last)
+	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Error("Stop did not terminate the line")
 	}
 	// Rate limiting: a 1h interval renders at most the forced final line.
 	var buf2 bytes.Buffer
-	p2 := NewProgress(&buf2, time.Hour)
-	p2.StartCampaign("x", 1000)
+	tel2 := New(Config{ProgressSink: &buf2, ProgressInterval: time.Hour})
+	x := tel2.StartCampaign("x", "sharded", "", 1000)
 	for i := 0; i < 1000; i++ {
-		p2.RunDone(1)
+		tel2.RunDone(x)
 	}
-	p2.Stop()
+	tel2.Close()
 	if n := strings.Count(buf2.String(), "\r"); n > 1 {
 		t.Errorf("rate-limited progress rendered %d times, want <= 1", n)
+	}
+}
+
+// TestCampaignRecordConcurrent drives one campaign's entry points from
+// several goroutines while the line renders on every update; the final
+// line must account for every run and shard.
+func TestCampaignRecordConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	tel := New(Config{ProgressSink: &buf, ProgressInterval: time.Nanosecond})
+	const workers, runs = 4, 250
+	c := tel.StartCampaign("permeability", "sharded", "", workers*runs)
+	tel.PlanShards(workers, false)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				tel.RunDone(c)
+			}
+			tel.FinishShard(ShardStatus{ID: strconv.Itoa(w), State: "done", Runs: runs}, time.Millisecond, false)
+		}()
+	}
+	wg.Wait()
+	tel.EndCampaign(c)
+	tel.Close()
+	out := buf.String()
+	if last := out[strings.LastIndex(out, "\r"):]; !strings.Contains(last, "shards 4/4 runs 1000/1000") {
+		t.Errorf("final line = %q, want shards 4/4 runs 1000/1000", last)
+	}
+	if snap := tel.Live.Snapshot(); len(snap.Done) != 1 || snap.Done[0].Runs != workers*runs || len(snap.Shards) != workers {
+		t.Errorf("Live after the campaign = %+v", snap)
+	}
+}
+
+// TestRunDoneDoesNotAllocate pins the per-run path with telemetry on —
+// with and without a rate-limited progress line — at zero allocations.
+func TestRunDoneDoesNotAllocate(t *testing.T) {
+	for _, cfg := range []Config{{}, {ProgressSink: io.Discard, ProgressInterval: time.Hour}} {
+		tel := New(cfg)
+		c := tel.StartCampaign("permeability", "sharded", "", 1000)
+		if n := testing.AllocsPerRun(1000, func() { tel.RunDone(c) }); n != 0 {
+			t.Errorf("progress %v: RunDone makes %v allocations per run, want 0", cfg.ProgressSink != nil, n)
+		}
+		tel.EndCampaign(c)
 	}
 }
 
@@ -338,7 +398,7 @@ func BenchmarkDisabledHotPath(b *testing.B) {
 		if tel := Active(); tel != nil {
 			tel.Campaigns.Inc()
 			tel.RunDur.Observe(1)
-			tel.Progress.RunDone(1)
+			tel.RunDone(nil)
 		}
 	}
 	if testing.AllocsPerRun(100, func() {

@@ -195,19 +195,19 @@ func TestQuantileAllInOverflow(t *testing.T) {
 }
 
 func TestLiveSnapshotLifecycle(t *testing.T) {
-	l := NewLive()
+	tel := New(Config{})
+	l := tel.Live
 	sub := l.Subscribe()
 	defer l.Unsubscribe(sub)
 
-	c := l.StartCampaign("permeability", "fleet", "00000000000000ff", 100)
-	l.SetShards(4)
-	c.RunDone()
-	c.RunDone()
-	l.Retry()
+	c := tel.StartCampaign("permeability", "fleet", "00000000000000ff", 100)
+	tel.PlanShards(4, true)
+	tel.RunDone(c)
+	tel.RunDone(c)
+	tel.RetryShard(ShardStatus{ID: "s1", Worker: "agent-1", State: "retrying", Runs: 25, Attempts: 1})
 	l.WorkerJoin("agent-1", 42)
-	l.UpdateShard(ShardStatus{ID: "s1", Worker: "agent-1", State: "done",
-		Runs: 25, WallMs: 30, QueueMs: 5, ExecMs: 20, NetMs: 5})
-	l.ShardDone()
+	tel.FinishShard(ShardStatus{ID: "s1", Worker: "agent-1", State: "done",
+		Runs: 25, WallMs: 30, QueueMs: 5, ExecMs: 20, NetMs: 5}, 30*time.Millisecond, true)
 
 	snap := l.Snapshot()
 	if snap.Campaign == nil {
@@ -223,6 +223,14 @@ func TestLiveSnapshotLifecycle(t *testing.T) {
 	if cp.ShardsTotal != 4 || cp.ShardsDone != 1 {
 		t.Errorf("shard counters = %+v", cp)
 	}
+	// The registry series move with the record.
+	runs := tel.Reg.Counter("repro_campaign_runs_done_total", L("campaign", "permeability")).Value()
+	if runs != 2 || tel.DispatchRetries.Value() != 1 || tel.ShardsDone.Value() != 1 ||
+		tel.DispatchDone.Value() != 1 || tel.DispatchShards.Value() != 4 || tel.ShardDur.Count() != 1 {
+		t.Errorf("registry disagrees with the record: runs %d retries %d shards done %d/%d planned %d durations %d",
+			runs, tel.DispatchRetries.Value(), tel.ShardsDone.Value(), tel.DispatchDone.Value(),
+			tel.DispatchShards.Value(), tel.ShardDur.Count())
+	}
 	if len(snap.Shards) != 1 || snap.Shards[0].Campaign != "permeability" {
 		t.Errorf("shards = %+v (campaign must auto-fill)", snap.Shards)
 	}
@@ -235,7 +243,7 @@ func TestLiveSnapshotLifecycle(t *testing.T) {
 	}
 
 	l.WorkerLost("agent-1")
-	l.EndCampaign(c)
+	tel.EndCampaign(c)
 	snap = l.Snapshot()
 	if snap.Campaign != nil {
 		t.Error("campaign still current after EndCampaign")
@@ -262,21 +270,21 @@ func TestLiveSnapshotLifecycle(t *testing.T) {
 
 func TestLiveNilSafe(t *testing.T) {
 	var l *Live
-	c := l.StartCampaign("x", "serial", "", 1)
-	c.RunDone()
-	l.SetShards(1)
-	l.ShardDone()
-	l.Retry()
 	l.UpdateShard(ShardStatus{ID: "0"})
 	l.WorkerJoin("w", 1)
 	l.WorkerLost("w")
-	l.EndCampaign(c)
 	if _, ok := l.SlowestShard(); ok {
 		t.Error("nil Live reports a slowest shard")
 	}
 	if l.Subscribe() != nil {
 		t.Error("nil Live returns a subscription")
 	}
-	var lc *LiveCampaign
-	lc.RunDone() // must not panic
+	// Entry points on a built Telemetry with no running campaign must
+	// not panic either.
+	tel := New(Config{})
+	tel.RunDone(nil)
+	tel.PlanShards(1, false)
+	tel.FinishShard(ShardStatus{ID: "0"}, time.Second, false)
+	tel.RetryShard(ShardStatus{ID: "0"})
+	tel.EndCampaign(nil)
 }

@@ -134,7 +134,7 @@ type state struct {
 	lastPulseCount int64
 	lastPulseTick  int64
 
-	curAccel  float64 // current deceleration, m/s²
+	curAccel  float64 // current deceleration, m/s²; nothing reads it, but Matches compares the whole state
 	maxRetard float64 // max retardation seen, in g
 	maxForce  float64 // max retardation force seen, N
 }
@@ -305,9 +305,6 @@ func (pl *Plant) TimeS() float64 { return pl.timeS }
 
 // Pressure returns the actual brake pressure (0..PMax).
 func (pl *Plant) Pressure() float64 { return pl.pressure }
-
-// RetardationG returns the current deceleration in g.
-func (pl *Plant) RetardationG() float64 { return pl.curAccel / StandardGravity }
 
 // MaxRetardationG returns the peak deceleration seen so far, in g.
 func (pl *Plant) MaxRetardationG() float64 { return pl.maxRetard }
