@@ -17,6 +17,7 @@ import (
 	"repro/internal/ea"
 	"repro/internal/experiment"
 	"repro/internal/model"
+	"repro/internal/oracle"
 	"repro/internal/paper"
 	"repro/internal/report"
 	"repro/internal/sut"
@@ -381,7 +382,7 @@ func BenchmarkExtensionRecoveryStudy(b *testing.B) {
 func BenchmarkAblationImpactVsMonteCarlo(b *testing.B) {
 	p := paper.Table1()
 	for i := 0; i < b.N; i++ {
-		mc, err := core.MonteCarloImpact(p, target.SigPACNT, target.SigTOC2, 20_000, 1)
+		mc, err := oracle.MonteCarloImpact(p, target.SigPACNT, target.SigTOC2, 20_000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,24 +500,5 @@ func BenchmarkAnalyticIncremental(b *testing.B) {
 		if _, err := warm.Profile(scaled); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMonteCarloImpact pins the Monte Carlo estimator's sampling
-// throughput after the scratch-hoisting and worker-pool rework, at the
-// volume the cyclic validation uses.
-func BenchmarkMonteCarloImpact(b *testing.B) {
-	p := paper.Table1()
-	const samples = 100_000
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MonteCarloImpactWorkers(p, target.SigPACNT, target.SigTOC2, samples, 1, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(samples*b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
 	}
 }

@@ -133,25 +133,17 @@ func run() error {
 	flameOut := flag.String("flame-out", "", "trace mode: write folded flamegraph stacks to this file")
 	top := flag.Int("top", 5, "trace mode: how many straggler shards to report")
 	flag.Parse()
+	if err := validateFlags(*mode, *exactPath, *adaptivePath, *benchPath, *eventsPath, *z, *perClass); err != nil {
+		return err
+	}
 
 	switch *mode {
-	case "samples":
-		// Fall through to the campaign comparison below.
 	case "liveness":
 		return runLiveness(*targets, *perClass, *seed)
 	case "analytic":
 		return runAnalytic(*benchPath)
 	case "trace":
 		return runTrace(*eventsPath, *flameOut, *top)
-	default:
-		return fmt.Errorf("unknown -mode %q (want samples, liveness, analytic or trace)", *mode)
-	}
-
-	if *exactPath == "" || *adaptivePath == "" {
-		return fmt.Errorf("both -exact and -adaptive are required")
-	}
-	if *z <= 0 {
-		return fmt.Errorf("-z must be positive (got %v)", *z)
 	}
 
 	exact, err := readSamples(*exactPath)
@@ -259,6 +251,36 @@ func run() error {
 	return nil
 }
 
+// validateFlags rejects flag combinations that cannot run, before any
+// file is read or any target is looked up. Each mode checks only the
+// flags it uses.
+func validateFlags(mode, exactPath, adaptivePath, benchPath, eventsPath string, z float64, perClass int) error {
+	switch mode {
+	case "samples":
+		if z <= 0 {
+			return fmt.Errorf("-z must be positive (got %v)", z)
+		}
+		if exactPath == "" || adaptivePath == "" {
+			return fmt.Errorf("both -exact and -adaptive are required")
+		}
+	case "liveness":
+		if perClass < 1 {
+			return fmt.Errorf("-per-class must be >= 1 (got %d)", perClass)
+		}
+	case "analytic":
+		if benchPath == "" {
+			return fmt.Errorf("-mode analytic requires -bench (the rows of place -bench-out)")
+		}
+	case "trace":
+		if eventsPath == "" {
+			return fmt.Errorf("-mode trace requires -events (the -events-out file of a campaign run)")
+		}
+	default:
+		return fmt.Errorf("unknown -mode %q (want samples, liveness, analytic or trace)", mode)
+	}
+	return nil
+}
+
 // reportViolations prints each violation to stderr and returns an error
 // counting them, or nil when there are none.
 func reportViolations(violations []string) error {
@@ -274,9 +296,6 @@ func reportViolations(violations []string) error {
 // runAnalytic checks the solver timing rows of place -bench-out against
 // the performance contract (checkAnalytic).
 func runAnalytic(path string) error {
-	if path == "" {
-		return fmt.Errorf("-mode analytic requires -bench (the rows of place -bench-out)")
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err

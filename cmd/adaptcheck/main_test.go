@@ -77,3 +77,36 @@ func TestCheckAnalytic(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateFlags covers each mode's flag checks, all of which run
+// before any file is read or target looked up.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name                             string
+		mode, exact, adaptive, bench, ev string
+		z                                float64
+		perClass                         int
+		ok                               bool
+	}{
+		{name: "samples", mode: "samples", exact: "e.json", adaptive: "a.json", z: 1.96, perClass: 8, ok: true},
+		{name: "samples with bench", mode: "samples", exact: "e.json", adaptive: "a.json", bench: "B.json", z: 1.96, perClass: 8, ok: true},
+		{name: "liveness", mode: "liveness", z: 1.96, perClass: 1, ok: true},
+		{name: "analytic", mode: "analytic", bench: "B.json", z: 1.96, perClass: 8, ok: true},
+		{name: "trace", mode: "trace", ev: "ev.ndjson", z: 1.96, perClass: 8, ok: true},
+		{name: "unknown mode", mode: "sample", exact: "e.json", adaptive: "a.json", z: 1.96, perClass: 8},
+		{name: "empty mode", mode: "", z: 1.96, perClass: 8},
+		{name: "samples without exact", mode: "samples", adaptive: "a.json", z: 1.96, perClass: 8},
+		{name: "samples without adaptive", mode: "samples", exact: "e.json", z: 1.96, perClass: 8},
+		{name: "zero z", mode: "samples", exact: "e.json", adaptive: "a.json", z: 0, perClass: 8},
+		{name: "negative z", mode: "samples", exact: "e.json", adaptive: "a.json", z: -1, perClass: 8},
+		{name: "analytic without bench", mode: "analytic", z: 1.96, perClass: 8},
+		{name: "trace without events", mode: "trace", z: 1.96, perClass: 8},
+		{name: "zero per-class", mode: "liveness", z: 1.96, perClass: 0},
+		{name: "negative per-class", mode: "liveness", z: 1.96, perClass: -3},
+	} {
+		err := validateFlags(tc.mode, tc.exact, tc.adaptive, tc.bench, tc.ev, tc.z, tc.perClass)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: validateFlags = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

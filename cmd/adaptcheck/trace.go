@@ -14,9 +14,6 @@ import (
 // queue/exec/net phase attribution, and — with -flame-out — writes the
 // folded-stack file flamegraph renderers consume.
 func runTrace(eventsPath, flameOut string, top int) error {
-	if eventsPath == "" {
-		return fmt.Errorf("-mode trace requires -events (the -events-out file of a campaign run)")
-	}
 	f, err := os.Open(eventsPath)
 	if err != nil {
 		return err

@@ -68,7 +68,7 @@ func main() {
 	fmt.Println()
 	fmt.Print(tree.Render())
 
-	imp, err := core.Impact(p, "gyro", "pwm")
+	imp, err := analytic.Shared().Impact(p, "gyro", "pwm")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/oracle"
 )
 
 // FuzzCachedEngineMatchesFresh drives one long-lived engine through a
@@ -51,7 +52,7 @@ func FuzzCachedEngineMatchesFresh(f *testing.F) {
 		case 1:
 			sys, p = layeredDAG(intn, frac)
 		default:
-			sys, p = CyclicFixture()
+			sys, p = oracle.CyclicFixture()
 		}
 		sigs, mods, edges := sys.SignalIDs(), sys.ModuleIDs(), sys.Edges()
 		factors := []float64{0, 0.25, 0.5, 1, 1.5, 4}

@@ -223,21 +223,6 @@ func (e *Engine) oneRow(sc *sysCache, ctx *context, src int32, outputs bool) *ro
 	return e.rowFor(sc, ctx, pw, src, outputs)
 }
 
-// Impacts returns I(from → t) for every signal t of the system, indexed
-// by the system's dense signal order (model.System.SignalIndex).
-func (e *Engine) Impacts(p *core.Permeability, from model.SignalID) ([]float64, error) {
-	sc, ctx, err := e.contextFor(p)
-	if err != nil {
-		return nil, err
-	}
-	src, ok := p.System().SignalIndex(from)
-	if !ok {
-		return nil, fmt.Errorf("analytic: unknown signal %q", from)
-	}
-	row := e.oneRow(sc, ctx, int32(src), false)
-	return append([]float64(nil), row.vals...), nil
-}
-
 // Impact returns I(from → to), Eq. 2 — the drop-in analytic equivalent
 // of core.Impact. An impact on a system output reads the outputs row
 // that Profile shares.

@@ -1,13 +1,30 @@
 package analytic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/oracle"
 	"repro/internal/paper"
 )
+
+// Impacts returns I(from → t) for every signal t of the system, indexed
+// by the system's dense signal order (model.System.SignalIndex).
+func (e *Engine) Impacts(p *core.Permeability, from model.SignalID) ([]float64, error) {
+	sc, ctx, err := e.contextFor(p)
+	if err != nil {
+		return nil, err
+	}
+	src, ok := p.System().SignalIndex(from)
+	if !ok {
+		return nil, fmt.Errorf("analytic: unknown signal %q", from)
+	}
+	row := e.oneRow(sc, ctx, int32(src), false)
+	return append([]float64(nil), row.vals...), nil
+}
 
 // TestIncrementalInvalidation is the FastFlip property: scaling one
 // near-source module of the grid re-solves only the rows whose
@@ -114,7 +131,7 @@ func TestShapeCacheMatchesFreshEngine(t *testing.T) {
 	sameRows(t, warm, p)
 
 	// The cyclic fixture's shape keeps the fixpoint path.
-	_, cp := CyclicFixture()
+	_, cp := oracle.CyclicFixture()
 	if shapeOf(t, warm, cp).acyclic {
 		t.Error("cyclic fixture compiled to an acyclic shape")
 	}
@@ -182,7 +199,7 @@ func TestSolverChosenPerSource(t *testing.T) {
 // full rows from a fresh engine, on acyclic and cyclic systems alike.
 func TestOutputRowsMatchFullRows(t *testing.T) {
 	_, grid := Grid(6, 4)
-	_, cyc := CyclicFixture()
+	_, cyc := oracle.CyclicFixture()
 	for _, p := range []*core.Permeability{paper.Table1(), grid, cyc, cycleBesideDiamond()} {
 		pr, err := New().Profile(p)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/oracle"
 	"repro/internal/paper"
 )
 
@@ -200,7 +201,7 @@ func TestSinglePathIsTreeExact(t *testing.T) {
 }
 
 func TestUnreachableIsExactlyZero(t *testing.T) {
-	sys, p := CyclicFixture()
+	sys, p := oracle.CyclicFixture()
 	e := New()
 	// out has no outgoing edges; nothing downstream of it.
 	row, err := e.Impacts(p, "out")
@@ -224,7 +225,7 @@ func TestUnreachableIsExactlyZero(t *testing.T) {
 // P(b) = 1 − (1−0.8·0.7)(1 − P(b)·0.4·0.25) = 0.56 + 0.44·0.1·P(b),
 // i.e. P(b) = 0.56/(1−0.044), and P(out) = 0.6·P(b).
 func TestCyclicFixtureFixpoint(t *testing.T) {
-	sys, p := CyclicFixture()
+	sys, p := oracle.CyclicFixture()
 	e := New()
 	d, err := e.Diagnose(p)
 	if err != nil {
@@ -235,7 +236,7 @@ func TestCyclicFixtureFixpoint(t *testing.T) {
 	}
 	want := map[model.SignalID]float64{
 		"in": 1, "a": 0.8,
-		"b": 0.56 / (1 - (1-0.56)*CyclicLoopGain),
+		"b": 0.56 / (1 - (1-0.56)*oracle.CyclicLoopGain),
 	}
 	want["fb"] = want["b"] * 0.4
 	want["out"] = want["b"] * 0.6
@@ -257,10 +258,10 @@ func TestCyclicFixtureFixpoint(t *testing.T) {
 // TestCyclicFixtureAgreesWithMonteCarlo is the documented validation:
 // the fixpoint's node-marginal view may overestimate the sampled
 // propagation probability on cycles (Harris/FKG), but stays within
-// CyclicTolerance on the fixture, on every signal downstream of an
-// input — the loop's own signals included, not just the output.
+// oracle.CyclicTolerance on the fixture, on every signal downstream of
+// an input — the loop's own signals included, not just the output.
 func TestCyclicFixtureAgreesWithMonteCarlo(t *testing.T) {
-	sys, p := CyclicFixture()
+	sys, p := oracle.CyclicFixture()
 	e := New()
 	for _, from := range sys.SystemInputs() {
 		row, err := e.Impacts(p, from)
@@ -271,7 +272,7 @@ func TestCyclicFixtureAgreesWithMonteCarlo(t *testing.T) {
 			if sig, _ := sys.Signal(to); sig.Kind == model.KindSystemInput {
 				continue
 			}
-			mc, err := core.MonteCarloImpact(p, from, to, 200_000, 7)
+			mc, err := oracle.MonteCarloImpact(p, from, to, 200_000, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,9 +281,9 @@ func TestCyclicFixtureAgreesWithMonteCarlo(t *testing.T) {
 			if got < mc-0.004 {
 				t.Errorf("impact %s->%s: fixpoint %v below Monte Carlo %v (FKG says it must overestimate)", from, to, got, mc)
 			}
-			if math.Abs(got-mc) > CyclicTolerance {
+			if math.Abs(got-mc) > oracle.CyclicTolerance {
 				t.Errorf("impact %s->%s: fixpoint %v vs Monte Carlo %v exceeds documented tolerance %v",
-					from, to, got, mc, CyclicTolerance)
+					from, to, got, mc, oracle.CyclicTolerance)
 			}
 		}
 	}
@@ -325,7 +326,7 @@ func TestConvergenceBounds(t *testing.T) {
 		t.Fatalf("default solver left residual %v", d.Residual)
 	}
 	// A starved fixpoint must likewise surface its residual.
-	_, cp := CyclicFixture()
+	_, cp := oracle.CyclicFixture()
 	tight := NewWithParams(Params{MaxSweeps: 1, FixTol: 1e-15})
 	if _, err := tight.Impacts(cp, "in"); err != nil {
 		t.Fatal(err)

@@ -25,16 +25,6 @@ type Conditions struct {
 	MaxSignalImpact float64
 }
 
-// DisabledConditions returns a Conditions value with every limit off.
-func DisabledConditions() Conditions {
-	return Conditions{
-		MaxModulePermeability: -1,
-		MaxModuleExposure:     -1,
-		MaxSignalExposure:     -1,
-		MaxSignalImpact:       -1,
-	}
-}
-
 // ConformanceKind identifies which condition a finding violates.
 type ConformanceKind int
 

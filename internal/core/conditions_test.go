@@ -63,7 +63,12 @@ func TestCheckConformanceFindsViolations(t *testing.T) {
 
 func TestCheckConformanceDisabled(t *testing.T) {
 	pr, _ := placementSystem(t)
-	findings, err := CheckConformance(pr, DisabledConditions())
+	findings, err := CheckConformance(pr, Conditions{
+		MaxModulePermeability: -1,
+		MaxModuleExposure:     -1,
+		MaxSignalExposure:     -1,
+		MaxSignalImpact:       -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

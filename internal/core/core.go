@@ -118,15 +118,6 @@ func (p *Permeability) Get(e model.Edge) float64 {
 // (model.System.Edges).
 func (p *Permeability) Values() []float64 { return append([]float64(nil), p.values...) }
 
-// Value returns P^mod_{in,out}.
-func (p *Permeability) Value(mod model.ModuleID, in, out int) (float64, error) {
-	e, err := p.edge(mod, in, out)
-	if err != nil {
-		return 0, err
-	}
-	return p.Get(e), nil
-}
-
 // RelativePermeability returns P^M for a module: the sum of its pair
 // permeabilities normalized by the number of input/output pairs — the
 // paper's measure of a module's "ability to let propagating errors pass
@@ -175,23 +166,6 @@ func (p *Permeability) SignalExposure(s model.SignalID) (float64, error) {
 		sum += p.Get(e)
 	}
 	return sum, nil
-}
-
-// RelativeSignalExposure normalizes the signal exposure by the number of
-// producing input/output pairs, yielding a value in [0, 1].
-func (p *Permeability) RelativeSignalExposure(s model.SignalID) (float64, error) {
-	if _, ok := p.sys.Signal(s); !ok {
-		return 0, fmt.Errorf("core: unknown signal %q", s)
-	}
-	in := p.sys.InEdges(s)
-	if len(in) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for _, e := range in {
-		sum += p.Get(e)
-	}
-	return sum / float64(len(in)), nil
 }
 
 // ModuleExposure returns X^M: the summed exposure of the module's input

@@ -154,13 +154,6 @@ func TestSignalExposureIsSumOfIncomingPermeabilities(t *testing.T) {
 	if !approx(x, 1.781) { // the paper's OutValue arithmetic
 		t.Errorf("SignalExposure(out) = %v, want 1.781", x)
 	}
-	rx, err := p.RelativeSignalExposure("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(rx, 1.781/2) {
-		t.Errorf("RelativeSignalExposure(out) = %v, want %v", rx, 1.781/2)
-	}
 	// System input: no producing pairs.
 	if x, _ := p.SignalExposure("in"); x != 0 {
 		t.Errorf("SignalExposure(in) = %v, want 0", x)
@@ -398,4 +391,13 @@ func TestUnmarshalPermeabilityValidation(t *testing.T) {
 	if _, err := UnmarshalPermeability(sys, badVal); err == nil {
 		t.Error("out-of-range value accepted")
 	}
+}
+
+// Value returns P^mod_{in,out}.
+func (p *Permeability) Value(mod model.ModuleID, in, out int) (float64, error) {
+	e, err := p.edge(mod, in, out)
+	if err != nil {
+		return 0, err
+	}
+	return p.Get(e), nil
 }

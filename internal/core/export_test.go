@@ -1,0 +1,9 @@
+package core
+
+// Fixtures of the in-package tests, exported to the external test
+// package for montecarlo_test.go.
+var (
+	ChainSystem = chainSystem
+	LoopSystem  = loopSystem
+	RandomDAG   = randomDAG
+)

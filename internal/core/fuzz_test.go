@@ -15,7 +15,7 @@ import (
 // `go test -fuzz FuzzUnmarshalPermeability` explores.
 func FuzzUnmarshalPermeability(f *testing.F) {
 	var systems []*model.System
-	for _, path := range []string{"../sut/multiout.json", "../analytic/cyclic_fixture.json"} {
+	for _, path := range []string{"../sut/multiout.json", "../oracle/cyclic_fixture.json"} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

@@ -1,11 +1,17 @@
-package core
+// The Monte Carlo comparisons run in the external test package: the
+// estimator lives in internal/oracle, which imports core, so core's
+// in-package tests cannot call it. They reach the in-package fixtures
+// through export_test.go.
+package core_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/oracle"
 )
 
 func TestMonteCarloMatchesAnalyticOnChain(t *testing.T) {
@@ -20,15 +26,15 @@ func TestMonteCarloMatchesAnalyticOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPermeability(sys)
+	p := core.NewPermeability(sys)
 	p.MustSet("A", 1, 1, 0.6)
 	p.MustSet("B", 1, 1, 0.5)
 
-	exact, err := Impact(p, "in", "out")
+	exact, err := core.Impact(p, "in", "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MonteCarloImpact(p, "in", "out", 40_000, 1)
+	mc, err := oracle.MonteCarloImpact(p, "in", "out", 40_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +59,18 @@ func TestMonteCarloBelowEq2OnSharedSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPermeability(sys)
+	p := core.NewPermeability(sys)
 	p.MustSet("SPLIT", 1, 1, 0.7)
 	p.MustSet("SPLIT", 1, 2, 0.7)
 	p.MustSet("JOIN", 1, 1, 0.8)
 	p.MustSet("JOIN", 2, 1, 0.8)
 	p.MustSet("TAIL", 1, 1, 0.5) // shared by both paths
 
-	eq2, err := Impact(p, "in", "out")
+	eq2, err := core.Impact(p, "in", "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MonteCarloImpact(p, "in", "out", 60_000, 2)
+	mc, err := oracle.MonteCarloImpact(p, "in", "out", 60_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,41 +88,41 @@ func TestMonteCarloBelowEq2OnSharedSuffix(t *testing.T) {
 }
 
 func TestMonteCarloSelfAndErrors(t *testing.T) {
-	sys := chainSystem(t)
-	p := NewPermeability(sys)
-	got, err := MonteCarloImpact(p, "out", "out", 10, 1)
+	sys := core.ChainSystem(t)
+	p := core.NewPermeability(sys)
+	got, err := oracle.MonteCarloImpact(p, "out", "out", 10, 1)
 	if err != nil || got != 1 {
 		t.Errorf("self impact = %v, %v", got, err)
 	}
-	if _, err := MonteCarloImpact(p, "ghost", "out", 10, 1); err == nil {
+	if _, err := oracle.MonteCarloImpact(p, "ghost", "out", 10, 1); err == nil {
 		t.Error("unknown source accepted")
 	}
-	if _, err := MonteCarloImpact(p, "in", "ghost", 10, 1); err == nil {
+	if _, err := oracle.MonteCarloImpact(p, "in", "ghost", 10, 1); err == nil {
 		t.Error("unknown destination accepted")
 	}
-	if _, err := MonteCarloImpact(p, "in", "out", 0, 1); err == nil {
+	if _, err := oracle.MonteCarloImpact(p, "in", "out", 0, 1); err == nil {
 		t.Error("zero samples accepted")
 	}
 }
 
 func TestMonteCarloDeterministicPerSeed(t *testing.T) {
-	sys := chainSystem(t)
-	p := NewPermeability(sys)
+	sys := core.ChainSystem(t)
+	p := core.NewPermeability(sys)
 	p.MustSet("A", 1, 1, 0.5)
 	p.MustSet("B", 1, 1, 0.5)
-	a, _ := MonteCarloImpact(p, "in", "out", 5000, 42)
-	b, _ := MonteCarloImpact(p, "in", "out", 5000, 42)
+	a, _ := oracle.MonteCarloImpact(p, "in", "out", 5000, 42)
+	b, _ := oracle.MonteCarloImpact(p, "in", "out", 5000, 42)
 	if a != b {
 		t.Errorf("same-seed estimates differ: %v vs %v", a, b)
 	}
 }
 
 func TestMonteCarloHandlesCycles(t *testing.T) {
-	sys := loopSystem(t)
-	p := NewPermeability(sys)
+	sys := core.LoopSystem(t)
+	p := core.NewPermeability(sys)
 	p.MustSet("M", 2, 1, 1.0) // s -> s self-loop at permeability 1
 	p.MustSet("M", 2, 2, 0.3)
-	got, err := MonteCarloImpact(p, "s", "out", 20_000, 3)
+	got, err := oracle.MonteCarloImpact(p, "s", "out", 20_000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +135,14 @@ func TestMonteCarloHandlesCycles(t *testing.T) {
 // sampling noise) on random DAGs, and both lie in [0, 1].
 func TestQuickEq2DominatesMonteCarlo(t *testing.T) {
 	f := func(seed int64) bool {
-		sys, p := randomDAG(seed)
+		sys, p := core.RandomDAG(seed)
 		for _, o := range sys.SystemOutputs() {
 			for _, s := range sys.SystemInputs() {
-				eq2, err := Impact(p, s, o)
+				eq2, err := core.Impact(p, s, o)
 				if err != nil {
 					return false
 				}
-				mc, err := MonteCarloImpact(p, s, o, 3000, seed+7)
+				mc, err := oracle.MonteCarloImpact(p, s, o, 3000, seed+7)
 				if err != nil {
 					return false
 				}
@@ -161,19 +167,21 @@ func TestQuickEq2DominatesMonteCarlo(t *testing.T) {
 // blocks are seeded by block index, so the estimate cannot depend on
 // the worker count.
 func TestMonteCarloWorkerInvariant(t *testing.T) {
-	sys := loopSystem(t)
-	p := NewPermeability(sys)
+	sys := core.LoopSystem(t)
+	p := core.NewPermeability(sys)
 	p.MustSet("M", 1, 1, 0.4)
 	p.MustSet("M", 1, 2, 0.7)
 	p.MustSet("M", 2, 1, 0.9)
 	p.MustSet("M", 2, 2, 0.3)
-	// Enough samples to span several blocks.
-	ref, err := MonteCarloImpactWorkers(p, "in", "out", 3*mcBlock+17, 11, 1)
+	// Enough samples to span several of the estimator's 4096-sample
+	// blocks.
+	const samples = 3*4096 + 17
+	ref, err := oracle.MonteCarloImpactWorkers(p, "in", "out", samples, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 16} {
-		got, err := MonteCarloImpactWorkers(p, "in", "out", 3*mcBlock+17, 11, workers)
+		got, err := oracle.MonteCarloImpactWorkers(p, "in", "out", samples, 11, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +189,7 @@ func TestMonteCarloWorkerInvariant(t *testing.T) {
 			t.Errorf("workers=%d: estimate %v != serial %v", workers, got, ref)
 		}
 	}
-	if _, err := MonteCarloImpactWorkers(p, "in", "out", 100, 1, 0); err == nil {
+	if _, err := oracle.MonteCarloImpactWorkers(p, "in", "out", 100, 1, 0); err == nil {
 		t.Error("zero workers accepted")
 	}
 }

@@ -207,57 +207,18 @@ func (x *expansion) up(n *Node, onPath map[model.SignalID]bool) error {
 	return nil
 }
 
-// Paths returns every root-to-leaf path of the tree.
-func (t *Tree) Paths() []Path {
-	var out []Path
-	collectPaths(t.Root, nil, nil, &out, nil)
-	return out
-}
-
 // PathsTo returns every root-to-node path ending at the given signal —
 // for impact trees, the paths whose weights enter Eq. 2. The result is
 // bounded by the node cap the tree was built under (every returned path
-// ends at a distinct node); use PathsToN to enforce a tighter cap.
+// ends at a distinct node).
 func (t *Tree) PathsTo(dest model.SignalID) []Path {
 	var out []Path
 	collectPaths(t.Root, nil, nil, &out, &dest)
 	return out
 }
 
-// PathsToN is PathsTo with an explicit path-count cap: it stops with a
-// clear error as soon as more than maxPaths paths end at dest, instead
-// of materialising them all.
-func (t *Tree) PathsToN(dest model.SignalID, maxPaths int) ([]Path, error) {
-	var out []Path
-	if !collectCapped(t.Root, nil, nil, &out, dest, maxPaths) {
-		return nil, fmt.Errorf("core: paths to %q exceed the cap of %d (pathological path fan-out; use internal/analytic)", dest, maxPaths)
-	}
-	return out, nil
-}
-
-func collectCapped(n *Node, sigs []model.SignalID, edges []model.Edge, out *[]Path, dest model.SignalID, maxPaths int) bool {
-	sigs = append(sigs, n.Signal)
-	if n.Edge != (model.Edge{}) {
-		edges = append(edges, n.Edge)
-	}
-	if n.Signal == dest && len(edges) > 0 {
-		if len(*out) >= maxPaths {
-			return false
-		}
-		*out = append(*out, Path{
-			Signals: append([]model.SignalID(nil), sigs...),
-			Edges:   append([]model.Edge(nil), edges...),
-			Weight:  n.Weight,
-		})
-	}
-	for _, c := range n.Children {
-		if !collectCapped(c, sigs, edges, out, dest, maxPaths) {
-			return false
-		}
-	}
-	return true
-}
-
+// collectPaths appends to out the path to every node named dest, or to
+// every leaf when dest is nil.
 func collectPaths(n *Node, sigs []model.SignalID, edges []model.Edge, out *[]Path, dest *model.SignalID) {
 	sigs = append(sigs, n.Signal)
 	if n.Edge != (model.Edge{}) {
@@ -275,17 +236,6 @@ func collectPaths(n *Node, sigs []model.SignalID, edges []model.Edge, out *[]Pat
 	for _, c := range n.Children {
 		collectPaths(c, sigs, edges, out, dest)
 	}
-}
-
-// Size returns the number of nodes in the tree.
-func (t *Tree) Size() int { return countNodes(t.Root) }
-
-func countNodes(n *Node) int {
-	total := 1
-	for _, c := range n.Children {
-		total += countNodes(c)
-	}
-	return total
 }
 
 // Render draws the tree as indented ASCII, one node per line, with path

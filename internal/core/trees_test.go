@@ -8,6 +8,13 @@ import (
 	"repro/internal/model"
 )
 
+// Paths returns every root-to-leaf path of the tree.
+func (t *Tree) Paths() []Path {
+	var out []Path
+	collectPaths(t.Root, nil, nil, &out, nil)
+	return out
+}
+
 func TestTraceTreeStructure(t *testing.T) {
 	sys := chainSystem(t)
 	tree, err := BuildTraceTree(sys, "in")
@@ -206,25 +213,6 @@ func TestTreeNodeCapErrors(t *testing.T) {
 	}
 }
 
-func TestPathsToNCap(t *testing.T) {
-	_, p := fanoutSystem(t, 8)
-	tree, err := BuildImpactTree(p, "l0_0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := tree.PathsTo("l7_0")
-	if len(all) < 32 {
-		t.Fatalf("fixture too small: %d paths", len(all))
-	}
-	capped, err := tree.PathsToN("l7_0", len(all))
-	if err != nil || len(capped) != len(all) {
-		t.Fatalf("PathsToN at exact cap: %d paths, %v", len(capped), err)
-	}
-	if _, err := tree.PathsToN("l7_0", len(all)-1); err == nil {
-		t.Error("path cap not enforced")
-	}
-}
-
 // fanoutSystem builds `layers` ranks of two signals with full cross
 // wiring — 2^(layers-1) root-to-leaf paths, the reconvergent shape the
 // caps exist for.
@@ -260,4 +248,15 @@ func fanoutSystem(t *testing.T, layers int) (*model.System, *Permeability) {
 		}
 	}
 	return sys, p
+}
+
+// Size returns the number of nodes in the tree.
+func (t *Tree) Size() int { return countNodes(t.Root) }
+
+func countNodes(n *Node) int {
+	total := 1
+	for _, c := range n.Children {
+		total += countNodes(c)
+	}
+	return total
 }

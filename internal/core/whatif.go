@@ -42,19 +42,3 @@ func (p *Permeability) ScaleModule(mod model.ModuleID, factor float64) (*Permeab
 	}
 	return cp, nil
 }
-
-// ScaleEdge returns a copy with one pair scaled — the what-if of
-// guarding a single signal path.
-func (p *Permeability) ScaleEdge(mod model.ModuleID, in, out int, factor float64) (*Permeability, error) {
-	if err := CheckScaleFactor(factor); err != nil {
-		return nil, err
-	}
-	e, err := p.edge(mod, in, out)
-	if err != nil {
-		return nil, err
-	}
-	i, _ := p.sys.EdgeIndex(e)
-	cp := p.Clone()
-	cp.values[i] = min(1, cp.values[i]*factor)
-	return cp, nil
-}

@@ -77,32 +77,6 @@ func TestScaleModule(t *testing.T) {
 	}
 }
 
-func TestScaleEdge(t *testing.T) {
-	sys := chainSystem(t)
-	p := NewPermeability(sys)
-	p.MustSet("A", 1, 1, 0.8)
-	p.MustSet("A", 1, 2, 0.4)
-
-	scaled, err := p.ScaleEdge("A", 1, 1, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := scaled.Value("A", 1, 1); !approx(got, 0.2) {
-		t.Errorf("scaled edge = %v", got)
-	}
-	if got, _ := scaled.Value("A", 1, 2); got != 0.4 {
-		t.Errorf("sibling edge touched: %v", got)
-	}
-	if _, err := p.ScaleEdge("A", 9, 1, 0.5); err == nil {
-		t.Error("bad port accepted")
-	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := p.ScaleEdge("A", 1, 1, bad); err == nil {
-			t.Errorf("factor %v accepted", bad)
-		}
-	}
-}
-
 // Property: scaling any module by f in [0,1] never increases any
 // impact (monotonicity under containment).
 func TestQuickContainmentMonotone(t *testing.T) {

@@ -106,18 +106,6 @@ func (b *Bank) DetectedBy() []string {
 	return out
 }
 
-// FirstDetectionMs returns the earliest detection time across the bank,
-// or -1 if nothing fired.
-func (b *Bank) FirstDetectionMs() int64 {
-	first := int64(-1)
-	for _, a := range b.asserts {
-		if t := a.FirstDetectionMs(); t >= 0 && (first < 0 || t < first) {
-			first = t
-		}
-	}
-	return first
-}
-
 // TotalCost sums the resource footprint of the bank — the numbers
 // compared in Table 3 (ROM and RAM) and the execution-time overhead
 // argument of Section 6.1 (cycles per check period).

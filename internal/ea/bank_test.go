@@ -210,3 +210,31 @@ func TestWriteBankErrors(t *testing.T) {
 		t.Errorf("Assertions() = %d", got)
 	}
 }
+
+// FirstDetectionMs returns the earliest detection time across the bank,
+// or -1 if nothing fired.
+func (b *Bank) FirstDetectionMs() int64 {
+	first := int64(-1)
+	for _, a := range b.asserts {
+		if t := a.FirstDetectionMs(); t >= 0 && (first < 0 || t < first) {
+			first = t
+		}
+	}
+	return first
+}
+
+// Assertion returns the assertion guarding the signal.
+func (b *WriteBank) Assertion(sig model.SignalID) (*Assertion, bool) {
+	a, ok := b.asserts[sig]
+	return a, ok
+}
+
+// Detected reports whether any assertion fired this run.
+func (b *WriteBank) Detected() bool {
+	for _, a := range b.order {
+		if a.Detected() {
+			return true
+		}
+	}
+	return false
+}

@@ -184,15 +184,6 @@ func New(spec Spec) (*Assertion, error) {
 	return a, nil
 }
 
-// MustNew is New that panics on error, for statically-known specs.
-func MustNew(spec Spec) *Assertion {
-	a, err := New(spec)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Spec returns the assertion's specification.
 func (a *Assertion) Spec() Spec { return a.spec }
 
@@ -286,9 +277,6 @@ func (a *Assertion) checkSequence(v model.Word) bool {
 	}
 	return ahead > s.AllowExtra
 }
-
-// Detections returns how many checks fired in the current run.
-func (a *Assertion) Detections() int { return a.detections }
 
 // Detected reports whether the assertion fired at least once — the
 // paper's per-run detection criterion ("detected at least once during

@@ -302,3 +302,15 @@ func TestQuickCounterAcceptsLegitimateSteps(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MustNew is New that panics on error, for statically-known specs.
+func MustNew(spec Spec) *Assertion {
+	a, err := New(spec)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// Detections returns how many checks fired in the current run.
+func (a *Assertion) Detections() int { return a.detections }

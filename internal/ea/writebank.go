@@ -68,22 +68,6 @@ func (b *WriteBank) Assertions() []*Assertion {
 	return append([]*Assertion(nil), b.order...)
 }
 
-// Assertion returns the assertion guarding the signal.
-func (b *WriteBank) Assertion(sig model.SignalID) (*Assertion, bool) {
-	a, ok := b.asserts[sig]
-	return a, ok
-}
-
-// Detected reports whether any assertion fired this run.
-func (b *WriteBank) Detected() bool {
-	for _, a := range b.order {
-		if a.Detected() {
-			return true
-		}
-	}
-	return false
-}
-
 // Reset clears all assertion state.
 func (b *WriteBank) Reset() {
 	for _, a := range b.order {

@@ -101,9 +101,6 @@ func NewWrapper(spec Spec) (*Wrapper, error) {
 	return w, nil
 }
 
-// Spec returns the wrapper's specification.
-func (w *Wrapper) Spec() Spec { return w.spec }
-
 // Reset clears run-time state and accounting.
 func (w *Wrapper) Reset() {
 	w.prev = 0
@@ -182,9 +179,6 @@ func (w *Wrapper) apply(proposed model.Word) model.Word {
 
 // Recoveries returns how many writes were recovered this run.
 func (w *Wrapper) Recoveries() int { return w.recoveries }
-
-// FirstRecoveryMs returns the time of the first recovery, or -1.
-func (w *Wrapper) FirstRecoveryMs() int64 { return w.firstMs }
 
 // Bank deploys a set of wrappers on a bus.
 type Bank struct {

@@ -211,3 +211,6 @@ func TestPolicyString(t *testing.T) {
 		}
 	}
 }
+
+// FirstRecoveryMs returns the time of the first recovery, or -1.
+func (w *Wrapper) FirstRecoveryMs() int64 { return w.firstMs }

@@ -112,16 +112,6 @@ type Report struct {
 // Failed reports whether any constraint was violated.
 func (r Report) Failed() bool { return len(r.Violations) > 0 }
 
-// Has reports whether a specific violation occurred.
-func (r Report) Has(v Violation) bool {
-	for _, got := range r.Violations {
-		if got == v {
-			return true
-		}
-	}
-	return false
-}
-
 // String summarizes the report on one line.
 func (r Report) String() string {
 	if !r.Failed() {

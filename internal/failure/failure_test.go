@@ -140,3 +140,13 @@ func TestReportHas(t *testing.T) {
 		t.Error("Has(force) = true, want false")
 	}
 }
+
+// Has reports whether a specific violation occurred.
+func (r Report) Has(v Violation) bool {
+	for _, got := range r.Violations {
+		if got == v {
+			return true
+		}
+	}
+	return false
+}

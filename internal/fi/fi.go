@@ -45,9 +45,6 @@ type ReadFlip struct {
 	appliedAt int64
 }
 
-// Armed reports whether the flip is still pending.
-func (f *ReadFlip) Armed() bool { return !f.applied }
-
 // markApplied is used by armedReadFlip.
 func (f *ReadFlip) markApplied(now int64) {
 	f.applied = true

@@ -333,3 +333,6 @@ func TestInjectorRemovesItsSpentReadHook(t *testing.T) {
 		t.Errorf("the hook installed before the injector ran %d times over 12 slots", n)
 	}
 }
+
+// Armed reports whether the flip is still pending.
+func (f *ReadFlip) Armed() bool { return !f.applied }

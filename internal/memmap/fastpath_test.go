@@ -142,8 +142,8 @@ func TestHooksInstalledAfterAllocApply(t *testing.T) {
 
 // TestVarFastPathInlines checks that the compiler inlines the hook-free
 // accessors, so a module's state access costs a load or a store and no
-// call. Adding to Get, GetBool or Set can push them over the inlining
-// budget; move the extra work into the hooked slow paths instead.
+// call. Adding to Get or Set can push them over the inlining budget;
+// move the extra work into the hooked slow paths instead.
 func TestVarFastPathInlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the package with compiler diagnostics")
@@ -162,7 +162,7 @@ func TestVarFastPathInlines(t *testing.T) {
 			inlinable[fn] = true
 		}
 	}
-	for _, fn := range []string{"(*Var).Get", "(*Var).GetBool", "(*Var).Set"} {
+	for _, fn := range []string{"(*Var).Get", "(*Var).Set"} {
 		if !inlinable[fn] {
 			t.Errorf("%s is not inlinable any more", fn)
 		}

@@ -127,11 +127,3 @@ func (l *Liveness) PersistentMasked(id CellID) bool {
 func (l *Liveness) TransientMasked(id CellID) bool {
 	return int(id) < len(l.transient) && !l.transient[id]
 }
-
-// Accesses reports the profiled read and write counts of a cell.
-func (l *Liveness) Accesses(id CellID) (reads, writes int) {
-	if int(id) >= len(l.reads) {
-		return 0, 0
-	}
-	return l.reads[id], l.writes[id]
-}

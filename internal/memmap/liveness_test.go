@@ -128,3 +128,11 @@ func TestLivenessRejectsBadClock(t *testing.T) {
 		t.Error("negative start accepted")
 	}
 }
+
+// Accesses reports the profiled read and write counts of a cell.
+func (l *Liveness) Accesses(id CellID) (reads, writes int) {
+	if int(id) >= len(l.reads) {
+		return 0, 0
+	}
+	return l.reads[id], l.writes[id]
+}

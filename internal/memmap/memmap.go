@@ -168,9 +168,6 @@ func (m *Map) ClearHooks() {
 	m.writes = nil
 }
 
-// Cells returns the metadata of every allocated cell, in allocation order.
-func (m *Map) Cells() []CellInfo { return slices.Clone(m.infos) }
-
 // CellsIn returns the metadata of every cell in the given region.
 func (m *Map) CellsIn(region Region) []CellInfo {
 	var out []CellInfo
@@ -224,12 +221,6 @@ func (m *Map) Peek(id CellID) model.Word {
 	return m.codecs[id].Decode(m.raw[id])
 }
 
-// Poke overwrites a cell (interpreted domain) without hooks.
-func (m *Map) Poke(id CellID, v model.Word) {
-	m.check(id)
-	m.raw[id] = m.codecs[id].Encode(v)
-}
-
 func (m *Map) check(id CellID) {
 	if id < 0 || int(id) >= len(m.infos) {
 		panic(fmt.Sprintf("memmap: cell id %d out of range (have %d cells)", id, len(m.infos)))
@@ -272,15 +263,6 @@ func (v *Var) getHooked() model.Word {
 	return c.Decode(raw)
 }
 
-// GetBool reads the variable as a boolean. A word decodes to zero
-// exactly when its significant bits are zero.
-func (v *Var) GetBool() bool {
-	if len(v.m.reads) == 0 {
-		return *v.w&v.mask != 0
-	}
-	return v.getHooked() != 0
-}
-
 // Set writes the variable.
 func (v *Var) Set(x model.Word) {
 	if len(v.m.writes) == 0 {
@@ -300,15 +282,6 @@ func (v *Var) setHooked(x model.Word) {
 	}
 }
 
-// SetBool writes a boolean value.
-func (v *Var) SetBool(b bool) {
-	var x model.Word
-	if b {
-		x = 1
-	}
-	v.Set(x)
-}
-
 // Add adds delta to the variable (with width wrap-around) and returns the
 // new value.
 func (v *Var) Add(delta model.Word) model.Word {
@@ -318,6 +291,3 @@ func (v *Var) Add(delta model.Word) model.Word {
 
 // ID returns the backing cell's identity.
 func (v *Var) ID() CellID { return v.id }
-
-// Info returns the backing cell's metadata.
-func (v *Var) Info() CellInfo { return v.m.Info(v.id) }

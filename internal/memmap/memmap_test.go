@@ -1,6 +1,7 @@
 package memmap
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -208,3 +209,33 @@ func TestOutOfRangeCellPanics(t *testing.T) {
 	}()
 	m.Peek(CellID(7))
 }
+
+// GetBool reads the variable as a boolean. A word decodes to zero
+// exactly when its significant bits are zero.
+func (v *Var) GetBool() bool {
+	if len(v.m.reads) == 0 {
+		return *v.w&v.mask != 0
+	}
+	return v.getHooked() != 0
+}
+
+// SetBool writes a boolean value.
+func (v *Var) SetBool(b bool) {
+	var x model.Word
+	if b {
+		x = 1
+	}
+	v.Set(x)
+}
+
+// Cells returns the metadata of every allocated cell, in allocation order.
+func (m *Map) Cells() []CellInfo { return slices.Clone(m.infos) }
+
+// Poke overwrites a cell (interpreted domain) without hooks.
+func (m *Map) Poke(id CellID, v model.Word) {
+	m.check(id)
+	m.raw[id] = m.codecs[id].Encode(v)
+}
+
+// Info returns the backing cell's metadata.
+func (v *Var) Info() CellInfo { return v.m.Info(v.id) }

@@ -182,15 +182,6 @@ func (b *Bus) writeIdx(port PortRef, id SignalID, i int, v Word) {
 	}
 }
 
-// Snapshot copies the raw value of every signal, keyed by signal ID.
-func (b *Bus) Snapshot() map[SignalID]Word {
-	out := make(map[SignalID]Word, len(b.values))
-	for i, id := range b.sys.sigOrder {
-		out[id] = b.values[i]
-	}
-	return out
-}
-
 // SnapshotInto copies the raw value of every signal into dst, ordered by
 // dense signal index, and returns the filled slice. It reuses dst's
 // backing array when the capacity suffices, so recording paths can

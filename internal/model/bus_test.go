@@ -311,3 +311,12 @@ func TestPokeBypassesWriteFilters(t *testing.T) {
 		t.Errorf("Poke filtered: %d", got)
 	}
 }
+
+// Snapshot copies the raw value of every signal, keyed by signal ID.
+func (b *Bus) Snapshot() map[SignalID]Word {
+	out := make(map[SignalID]Word, len(b.values))
+	for i, id := range b.sys.sigOrder {
+		out[id] = b.values[i]
+	}
+	return out
+}

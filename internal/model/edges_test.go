@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/model"
+	"repro/internal/oracle"
 	"repro/internal/paper"
 	"repro/internal/tank"
 )
@@ -26,7 +27,7 @@ func TestEdgeTablesMatchPortScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid, _ := analytic.Grid(5, 3)
-	cyclic, _ := analytic.CyclicFixture()
+	cyclic, _ := oracle.CyclicFixture()
 	for _, sys := range []*model.System{paper.System(), tank.NewSystem(), multi, grid, cyclic} {
 		t.Run(sys.Name(), func(t *testing.T) {
 			var want []model.Edge

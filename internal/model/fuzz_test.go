@@ -12,7 +12,7 @@ import (
 // and re-marshals byte-identically. Plain `go test` runs the seeds;
 // `go test -fuzz FuzzUnmarshalSystem` explores.
 func FuzzUnmarshalSystem(f *testing.F) {
-	for _, path := range []string{"../sut/multiout.json", "../analytic/cyclic_fixture.json"} {
+	for _, path := range []string{"../sut/multiout.json", "../oracle/cyclic_fixture.json"} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

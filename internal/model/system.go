@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PortBinding attaches a signal to a numbered port.
 type PortBinding struct {
@@ -304,14 +301,6 @@ func (s *System) group(edges []Edge, lo []int, id SignalID) []Edge {
 func (s *System) ModuleIDs() []ModuleID {
 	out := make([]ModuleID, len(s.modOrder))
 	copy(out, s.modOrder)
-	return out
-}
-
-// SortedSignalIDs returns all signal names sorted lexicographically.
-// Useful for deterministic reports independent of declaration order.
-func (s *System) SortedSignalIDs() []SignalID {
-	out := s.SignalIDs()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

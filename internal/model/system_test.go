@@ -1,6 +1,7 @@
 package model
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -245,4 +246,12 @@ func TestKindString(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(tt.k), got, tt.want)
 		}
 	}
+}
+
+// SortedSignalIDs returns all signal names sorted lexicographically.
+// Useful for deterministic reports independent of declaration order.
+func (s *System) SortedSignalIDs() []SignalID {
+	out := s.SignalIDs()
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -62,11 +62,6 @@ func (t Type) Mask() Word {
 	return (Word(1) << t.Width) - 1
 }
 
-// Canon canonicalizes a raw word to the type's domain: the value is
-// truncated to Width bits. The stored representation is always the masked
-// unsigned pattern; interpretation as signed happens in FromRaw.
-func (t Type) Canon(v Word) Word { return t.ToRaw(v) }
-
 // FromRaw interprets a stored (masked) bit pattern according to the type,
 // sign-extending two's-complement values for signed types.
 func (t Type) FromRaw(raw Word) Word { return t.Codec().Decode(raw) }

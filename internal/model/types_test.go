@@ -148,3 +148,8 @@ func TestQuickSignedRangeAndRawIdentity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Canon canonicalizes a raw word to the type's domain: the value is
+// truncated to Width bits. The stored representation is always the masked
+// unsigned pattern; interpretation as signed happens in FromRaw.
+func (t Type) Canon(v Word) Word { return t.ToRaw(v) }

@@ -410,3 +410,18 @@ func BenchmarkDisabledHotPath(b *testing.B) {
 		b.Fatal("disabled telemetry path allocates")
 	}
 }
+
+// Add adjusts the gauge by n.
+func (g *Gauge) Add(n int64) {
+	if g != nil {
+		g.v.Add(n)
+	}
+}
+
+// Count reads the total number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}

@@ -54,13 +54,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value reads the gauge.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -108,14 +101,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	if h != nil {
 		h.Observe(time.Since(start).Seconds())
 	}
-}
-
-// Count reads the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Counts copies the per-bucket counts (len(bounds)+1 entries).

@@ -1,10 +1,11 @@
 // Package paper ships the published data of Hiller, Jhumka and Suri
-// (DSN 2002) as fixtures: the estimated error permeability values of
-// Table 1, the derived measures of Tables 2 and 5, the resource figures
-// of Table 3 and the selections of Sections 5 and 10. Feeding Table 1
-// into the analysis framework must regenerate every derived artifact
-// exactly (to the paper's printed precision) — the analytical
-// reproduction mode of DESIGN.md §3.
+// (DSN 2002) that the commands consume: the target system and the
+// estimated error permeability values of Table 1. Feeding Table 1 into
+// the analysis framework must regenerate every derived artifact exactly
+// (to the paper's printed precision) — the analytical reproduction mode
+// of DESIGN.md §3. The published derived values (Tables 2, 4 and 5,
+// Figure 4 and the selections of Sections 5 and 10) live in the
+// package's tests, which enforce that.
 package paper
 
 import (
@@ -55,102 +56,4 @@ func Table1() *core.Permeability {
 	// PRES_A: in 1 = OutValue; out 1 = TOC2.
 	p.MustSet(target.ModPresA, 1, 1, 0.875)
 	return p
-}
-
-// Table2Exposures returns the signal error exposures of Table 2.
-func Table2Exposures() map[model.SignalID]float64 {
-	return map[model.SignalID]float64{
-		target.SigOutValue:  1.781,
-		target.SigI:         1.507,
-		target.SigSetValue:  1.478,
-		target.SigMsSlotNbr: 1.000,
-		target.SigPulscnt:   0.957,
-		target.SigTOC2:      0.875,
-		target.SigSlowSpeed: 0.010,
-		target.SigIsValue:   0.000,
-		target.SigMscnt:     0.000,
-		target.SigStopped:   0.000,
-	}
-}
-
-// Table5Impacts returns the impact values on TOC2 of Table 5. TOC2
-// itself has no entry in the paper ("one could say that the impact is
-// 1.0 in this case") and is omitted.
-func Table5Impacts() map[model.SignalID]float64 {
-	return map[model.SignalID]float64{
-		target.SigPACNT:     0.027,
-		target.SigTCNT:      0.000,
-		target.SigTIC1:      0.000,
-		target.SigADC:       0.000,
-		target.SigOutValue:  0.875,
-		target.SigI:         0.043,
-		target.SigSetValue:  0.774,
-		target.SigMsSlotNbr: 0.000,
-		target.SigPulscnt:   0.021,
-		target.SigSlowSpeed: 0.691,
-		target.SigIsValue:   0.784,
-		target.SigMscnt:     0.410,
-		target.SigStopped:   0.001,
-	}
-}
-
-// Figure4Weights returns the two propagation-path weights of the impact
-// tree for pulscnt → TOC2 (Figure 4), keyed by the first hop.
-func Figure4Weights() map[model.SignalID]float64 {
-	return map[model.SignalID]float64{
-		target.SigI:        0.021, // pulscnt → i → SetValue → OutValue → TOC2
-		target.SigSetValue: 0.000, // pulscnt → SetValue → OutValue → TOC2
-	}
-}
-
-// Table3 resource figures (bytes).
-const (
-	EHSetROMBytes = 262
-	EHSetRAMBytes = 94
-	PASetROMBytes = 150
-	PASetRAMBytes = 54
-)
-
-// PASelection returns the signals the PA-approach guarded (Section 5.3).
-func PASelection() []model.SignalID {
-	return []model.SignalID{
-		target.SigSetValue, target.SigI, target.SigPulscnt, target.SigOutValue,
-	}
-}
-
-// EHSelection returns the signals the EH-approach guarded (Section 5.1).
-func EHSelection() []model.SignalID {
-	return []model.SignalID{
-		target.SigSetValue, target.SigIsValue, target.SigI, target.SigPulscnt,
-		target.SigMsSlotNbr, target.SigMscnt, target.SigOutValue,
-	}
-}
-
-// ExtendedSelection returns the signals the extended framework guarded
-// (Section 10) — identical to the EH selection.
-func ExtendedSelection() []model.SignalID { return EHSelection() }
-
-// Table4 reports the published detection coverages for errors injected
-// at the system inputs (input error model). Dashes in the paper are
-// zero here.
-type Table4Row struct {
-	Signal   model.SignalID
-	NErr     int
-	Coverage map[string]float64 // per EA name
-	Total    float64
-}
-
-// Table4 returns the published per-signal rows.
-func Table4() []Table4Row {
-	return []Table4Row{
-		{
-			Signal: target.SigPACNT, NErr: 1856,
-			Coverage: map[string]float64{
-				target.EA1: 0.218, target.EA2: 0.105, target.EA4: 0.975, target.EA7: 0.005,
-			},
-			Total: 0.975,
-		},
-		{Signal: target.SigTIC1, NErr: 3712, Coverage: map[string]float64{}, Total: 0},
-		{Signal: target.SigTCNT, NErr: 3712, Coverage: map[string]float64{}, Total: 0},
-	}
 }

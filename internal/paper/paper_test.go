@@ -10,6 +10,96 @@ import (
 	"repro/internal/target"
 )
 
+// Table2Exposures returns the signal error exposures of Table 2.
+func Table2Exposures() map[model.SignalID]float64 {
+	return map[model.SignalID]float64{
+		target.SigOutValue:  1.781,
+		target.SigI:         1.507,
+		target.SigSetValue:  1.478,
+		target.SigMsSlotNbr: 1.000,
+		target.SigPulscnt:   0.957,
+		target.SigTOC2:      0.875,
+		target.SigSlowSpeed: 0.010,
+		target.SigIsValue:   0.000,
+		target.SigMscnt:     0.000,
+		target.SigStopped:   0.000,
+	}
+}
+
+// Table5Impacts returns the impact values on TOC2 of Table 5. TOC2
+// itself has no entry in the paper ("one could say that the impact is
+// 1.0 in this case") and is omitted.
+func Table5Impacts() map[model.SignalID]float64 {
+	return map[model.SignalID]float64{
+		target.SigPACNT:     0.027,
+		target.SigTCNT:      0.000,
+		target.SigTIC1:      0.000,
+		target.SigADC:       0.000,
+		target.SigOutValue:  0.875,
+		target.SigI:         0.043,
+		target.SigSetValue:  0.774,
+		target.SigMsSlotNbr: 0.000,
+		target.SigPulscnt:   0.021,
+		target.SigSlowSpeed: 0.691,
+		target.SigIsValue:   0.784,
+		target.SigMscnt:     0.410,
+		target.SigStopped:   0.001,
+	}
+}
+
+// Figure4Weights returns the two propagation-path weights of the impact
+// tree for pulscnt → TOC2 (Figure 4), keyed by the first hop.
+func Figure4Weights() map[model.SignalID]float64 {
+	return map[model.SignalID]float64{
+		target.SigI:        0.021, // pulscnt → i → SetValue → OutValue → TOC2
+		target.SigSetValue: 0.000, // pulscnt → SetValue → OutValue → TOC2
+	}
+}
+
+// PASelection returns the signals the PA-approach guarded (Section 5.3).
+func PASelection() []model.SignalID {
+	return []model.SignalID{
+		target.SigSetValue, target.SigI, target.SigPulscnt, target.SigOutValue,
+	}
+}
+
+// EHSelection returns the signals the EH-approach guarded (Section 5.1).
+func EHSelection() []model.SignalID {
+	return []model.SignalID{
+		target.SigSetValue, target.SigIsValue, target.SigI, target.SigPulscnt,
+		target.SigMsSlotNbr, target.SigMscnt, target.SigOutValue,
+	}
+}
+
+// ExtendedSelection returns the signals the extended framework guarded
+// (Section 10) — identical to the EH selection.
+func ExtendedSelection() []model.SignalID { return EHSelection() }
+
+// Table4 reports the published detection coverages for errors injected
+// at the system inputs (input error model). Dashes in the paper are
+// zero here.
+type Table4Row struct {
+	Signal   model.SignalID
+	NErr     int
+	Coverage map[string]float64 // per EA name
+	Total    float64
+}
+
+// Table4 returns the published per-signal rows.
+func Table4() []Table4Row {
+	return []Table4Row{
+		{
+			Signal: target.SigPACNT, NErr: 1856,
+			Coverage: map[string]float64{
+				target.EA1: 0.218, target.EA2: 0.105, target.EA4: 0.975, target.EA7: 0.005,
+			},
+			Total: 0.975,
+		},
+		{Signal: target.SigTIC1, NErr: 3712, Coverage: map[string]float64{}, Total: 0},
+		{Signal: target.SigTCNT, NErr: 3712, Coverage: map[string]float64{}, Total: 0},
+	}
+}
+
 // TestTable2ExposuresReproduceExactly feeds Table 1 into the framework
 // and checks every signal error exposure against Table 2 at the paper's
 // printed precision (3 decimals).

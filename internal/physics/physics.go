@@ -303,9 +303,6 @@ func (pl *Plant) Velocity() float64 { return pl.v }
 // TimeS returns the elapsed plant time in seconds.
 func (pl *Plant) TimeS() float64 { return pl.timeS }
 
-// Pressure returns the actual brake pressure (0..PMax).
-func (pl *Plant) Pressure() float64 { return pl.pressure }
-
 // MaxRetardationG returns the peak deceleration seen so far, in g.
 func (pl *Plant) MaxRetardationG() float64 { return pl.maxRetard }
 
@@ -314,8 +311,3 @@ func (pl *Plant) MaxForceN() float64 { return pl.maxForce }
 
 // Stopped reports whether the aircraft has come to rest.
 func (pl *Plant) Stopped() bool { return pl.v <= 0 }
-
-// KineticEnergyJ returns the aircraft's remaining kinetic energy.
-func (pl *Plant) KineticEnergyJ() float64 {
-	return 0.5 * pl.p.MassKg * pl.v * pl.v
-}

@@ -265,3 +265,11 @@ func TestMaxForceAndRetardationAccounting(t *testing.T) {
 		t.Errorf("force/retardation inconsistent: %.3f g vs %.3f g", impliedG, pl.MaxRetardationG())
 	}
 }
+
+// Pressure returns the actual brake pressure (0..PMax).
+func (pl *Plant) Pressure() float64 { return pl.pressure }
+
+// KineticEnergyJ returns the aircraft's remaining kinetic energy.
+func (pl *Plant) KineticEnergyJ() float64 {
+	return 0.5 * pl.p.MassKg * pl.v * pl.v
+}

@@ -58,7 +58,10 @@ func TestTable3Rendering(t *testing.T) {
 		inPA[n] = true
 	}
 	for _, spec := range target.AllEASpecs() {
-		a := ea.MustNew(spec)
+		a, err := ea.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rows = append(rows, Table3Row{
 			Name: spec.Name, Signal: spec.Signal,
 			InEH: true, InPA: inPA[spec.Name], Cost: a.Cost(),

@@ -184,14 +184,6 @@ func (s *Scheduler) ResetHooks() {
 // NowMs returns the elapsed scheduler time in milliseconds.
 func (s *Scheduler) NowMs() int64 { return s.nowMs }
 
-// Invocations returns how many times the module has been stepped.
-func (s *Scheduler) Invocations(id model.ModuleID) int64 {
-	if n := s.invoked[id]; n != nil {
-		return *n
-	}
-	return 0
-}
-
 // Reset rewinds time and resets every registered module and the bus.
 // Hooks stay installed.
 func (s *Scheduler) Reset() {

@@ -355,3 +355,11 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// Invocations returns how many times the module has been stepped.
+func (s *Scheduler) Invocations(id model.ModuleID) int64 {
+	if n := s.invoked[id]; n != nil {
+		return *n
+	}
+	return 0
+}

@@ -114,21 +114,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (0 for fewer than two
-// values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns 0 for an empty
 // slice and does not modify its input.
@@ -151,29 +136,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return cp[lo]*(1-frac) + cp[lo+1]*frac
-}
-
-// Stratified combines per-stratum proportions with weights (e.g. one
-// stratum per test case), returning the weighted coverage estimate.
-// Weights are normalized internally; strata with zero trials contribute
-// nothing.
-func Stratified(strata []Proportion, weights []float64) (float64, error) {
-	if len(strata) != len(weights) {
-		return 0, fmt.Errorf("stats: %d strata but %d weights", len(strata), len(weights))
-	}
-	var wsum, acc float64
-	for i, s := range strata {
-		if weights[i] < 0 {
-			return 0, fmt.Errorf("stats: negative weight %v", weights[i])
-		}
-		if s.Trials == 0 {
-			continue
-		}
-		wsum += weights[i]
-		acc += weights[i] * s.Estimate()
-	}
-	if wsum == 0 {
-		return 0, nil
-	}
-	return acc / wsum, nil
 }

@@ -176,53 +176,13 @@ func TestQuickAddNEquivalence(t *testing.T) {
 	}
 }
 
-func TestMeanAndStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v", got)
 	}
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := StdDev(xs); math.Abs(got-2.138) > 0.001 {
-		t.Errorf("StdDev = %v, want ~2.138", got)
-	}
-	if got := StdDev([]float64{1}); got != 0 {
-		t.Errorf("StdDev single = %v, want 0", got)
-	}
-}
-
-func TestStratified(t *testing.T) {
-	strata := []Proportion{
-		{Successes: 9, Trials: 10}, // 0.9
-		{Successes: 1, Trials: 10}, // 0.1
-	}
-	got, err := Stratified(strata, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (3*0.9 + 1*0.1) / 4; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Stratified = %v, want %v", got, want)
-	}
-
-	// Empty strata contribute nothing.
-	got, err = Stratified([]Proportion{{}, {Successes: 5, Trials: 10}}, []float64{100, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.5 {
-		t.Errorf("Stratified with empty stratum = %v, want 0.5", got)
-	}
-
-	if _, err := Stratified(strata, []float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Stratified(strata, []float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	got, err = Stratified(nil, nil)
-	if err != nil || got != 0 {
-		t.Errorf("Stratified(nil) = %v, %v", got, err)
 	}
 }
 

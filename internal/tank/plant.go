@@ -217,6 +217,3 @@ func (pl *Plant) MinLevelM() float64 { return pl.minLevel }
 
 // MaxLevelM returns the highest level seen.
 func (pl *Plant) MaxLevelM() float64 { return pl.maxLevel }
-
-// TimeS returns elapsed plant time.
-func (pl *Plant) TimeS() float64 { return pl.timeS }

@@ -1,8 +1,6 @@
 package tank
 
 import (
-	"fmt"
-
 	"repro/internal/ea"
 	"repro/internal/erm"
 )
@@ -57,24 +55,6 @@ func AllEASpecs() []ea.Spec {
 			Min: 0, Max: 255, MaxUp: 24, MaxDown: 24, WarmupChecks: 3,
 		},
 	}
-}
-
-// SpecsFor resolves assertion names to their specifications.
-func SpecsFor(names []string) ([]ea.Spec, error) {
-	all := AllEASpecs()
-	byName := make(map[string]ea.Spec, len(all))
-	for _, s := range all {
-		byName[s.Name] = s
-	}
-	out := make([]ea.Spec, 0, len(names))
-	for _, n := range names {
-		s, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("tank: unknown assertion %q", n)
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // EHSet is the experience-based placement over the tank signals.

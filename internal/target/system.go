@@ -135,12 +135,6 @@ func AllSignals() []model.SignalID {
 	}
 }
 
-// SystemInputs returns the sensor registers refreshed by the
-// environment before every slot.
-func SystemInputs() []model.SignalID {
-	return []model.SignalID{SigPACNT, SigTIC1, SigTCNT, SigADC}
-}
-
 // clock is the CLOCK module: it ticks the millisecond counter every
 // slot and publishes the minor-cycle slot selector. Once per frame it
 // re-synchronises its rotation phase against the frame counter i, so a

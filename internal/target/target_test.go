@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ea"
 	"repro/internal/failure"
+	"repro/internal/model"
 )
 
 func TestSetSizes(t *testing.T) {
@@ -228,4 +229,10 @@ func TestEABudgetsAreDerived(t *testing.T) {
 			t.Errorf("%s guards a boolean: banks reject these", spec.Name)
 		}
 	}
+}
+
+// SystemInputs returns the sensor registers refreshed by the
+// environment before every slot.
+func SystemInputs() []model.SignalID {
+	return []model.SignalID{SigPACNT, SigTIC1, SigTCNT, SigADC}
 }

@@ -24,16 +24,6 @@ type Trace struct {
 	n       int
 }
 
-// NewTrace creates an empty trace over the given signals, pre-sizing each
-// column for capacityHint samples.
-func NewTrace(signals []model.SignalID, capacityHint int) *Trace {
-	t := newTrace(signals)
-	for i := range t.cols {
-		t.cols[i] = make([]model.Word, 0, capacityHint)
-	}
-	return t
-}
-
 // newTrace creates an empty trace over the given signals whose columns
 // have no storage yet.
 func newTrace(signals []model.SignalID) *Trace {
@@ -58,30 +48,6 @@ func (t *Trace) Signals() []model.SignalID {
 
 // Len returns the number of samples recorded.
 func (t *Trace) Len() int { return t.n }
-
-// Append records one sample row; values are read through the provided
-// getter (typically Bus.Peek so recording never perturbs the system).
-func (t *Trace) Append(get func(model.SignalID) model.Word) {
-	for i, s := range t.signals {
-		t.cols[i] = append(t.cols[i], get(s))
-	}
-	t.n++
-}
-
-// Value returns sample idx of a signal. It panics on unknown signals or
-// out-of-range indices — both are harness bugs, not data conditions.
-func (t *Trace) Value(sig model.SignalID, idx int) model.Word {
-	col := t.column(sig)
-	if idx < 0 || idx >= len(col) {
-		panic(fmt.Sprintf("trace: sample %d of %q out of range (%d samples)", idx, sig, len(col)))
-	}
-	return col[idx]
-}
-
-// Column returns a copy of all samples of one signal.
-func (t *Trace) Column(sig model.SignalID) []model.Word {
-	return append([]model.Word(nil), t.column(sig)...)
-}
 
 // Samples returns all samples of one signal without copying: the slice
 // shares the trace's storage and must not be modified. Online

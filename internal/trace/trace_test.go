@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -340,4 +341,38 @@ func TestRecorderConcurrentRecordings(t *testing.T) {
 			checkExact(t, tr)
 		}
 	}
+}
+
+// NewTrace creates an empty trace over the given signals, pre-sizing each
+// column for capacityHint samples.
+func NewTrace(signals []model.SignalID, capacityHint int) *Trace {
+	t := newTrace(signals)
+	for i := range t.cols {
+		t.cols[i] = make([]model.Word, 0, capacityHint)
+	}
+	return t
+}
+
+// Append records one sample row; values are read through the provided
+// getter (typically Bus.Peek so recording never perturbs the system).
+func (t *Trace) Append(get func(model.SignalID) model.Word) {
+	for i, s := range t.signals {
+		t.cols[i] = append(t.cols[i], get(s))
+	}
+	t.n++
+}
+
+// Column returns a copy of all samples of one signal.
+func (t *Trace) Column(sig model.SignalID) []model.Word {
+	return append([]model.Word(nil), t.column(sig)...)
+}
+
+// Value returns sample idx of a signal. It panics on unknown signals or
+// out-of-range indices — both are harness bugs, not data conditions.
+func (t *Trace) Value(sig model.SignalID, idx int) model.Word {
+	col := t.column(sig)
+	if idx < 0 || idx >= len(col) {
+		panic(fmt.Sprintf("trace: sample %d of %q out of range (%d samples)", idx, sig, len(col)))
+	}
+	return col[idx]
 }
