@@ -213,20 +213,19 @@ func (x *expansion) up(n *Node, onPath map[model.SignalID]bool) error {
 // ends at a distinct node).
 func (t *Tree) PathsTo(dest model.SignalID) []Path {
 	var out []Path
-	collectPaths(t.Root, nil, nil, &out, &dest)
+	collectPaths(t.Root, nil, nil, &out, dest)
 	return out
 }
 
-// collectPaths appends to out the path to every node named dest, or to
-// every leaf when dest is nil.
-func collectPaths(n *Node, sigs []model.SignalID, edges []model.Edge, out *[]Path, dest *model.SignalID) {
+// collectPaths appends to out the path to every node of n's subtree
+// named dest, except the tree's root; sigs and edges are the path down
+// to n.
+func collectPaths(n *Node, sigs []model.SignalID, edges []model.Edge, out *[]Path, dest model.SignalID) {
 	sigs = append(sigs, n.Signal)
 	if n.Edge != (model.Edge{}) {
 		edges = append(edges, n.Edge)
 	}
-	hit := dest != nil && n.Signal == *dest && len(edges) > 0
-	leaf := len(n.Children) == 0 && dest == nil
-	if hit || leaf {
+	if n.Signal == dest && len(edges) > 0 {
 		*out = append(*out, Path{
 			Signals: append([]model.SignalID(nil), sigs...),
 			Edges:   append([]model.Edge(nil), edges...),

@@ -11,7 +11,24 @@ import (
 // Paths returns every root-to-leaf path of the tree.
 func (t *Tree) Paths() []Path {
 	var out []Path
-	collectPaths(t.Root, nil, nil, &out, nil)
+	var walk func(n *Node, sigs []model.SignalID, edges []model.Edge)
+	walk = func(n *Node, sigs []model.SignalID, edges []model.Edge) {
+		sigs = append(sigs, n.Signal)
+		if n.Edge != (model.Edge{}) {
+			edges = append(edges, n.Edge)
+		}
+		if len(n.Children) == 0 {
+			out = append(out, Path{
+				Signals: append([]model.SignalID(nil), sigs...),
+				Edges:   append([]model.Edge(nil), edges...),
+				Weight:  n.Weight,
+			})
+		}
+		for _, c := range n.Children {
+			walk(c, sigs, edges)
+		}
+	}
+	walk(t.Root, nil, nil)
 	return out
 }
 

@@ -329,10 +329,10 @@ type permWatch struct {
 	flip *fi.ReadFlip
 
 	rig   sut.Rig
-	idx   []int          // dense bus index per watched signal
-	gold  [][]model.Word // golden samples per watched signal
-	first []int          // first deviating sample per watched signal
-	outs  int            // watched[:outs] are mod's outputs in port order, the rest cutoff inputs
+	idx   []int            // dense bus index per watched signal
+	gold  [][]trace.Sample // golden samples per watched signal
+	first []int            // first deviating sample per watched signal
+	outs  int              // watched[:outs] are mod's outputs in port order, the rest cutoff inputs
 
 	deviated int  // outputs deviated so far
 	cut      bool // a cutoff input has deviated
@@ -349,7 +349,7 @@ func (w *permWatch) bind(rig sut.Rig) {
 	sys := rig.System()
 	n := w.outs + len(w.mod.Inputs) // at least the watched signals
 	ints := make([]int, 2*n)
-	w.idx, w.first, w.gold = ints[:0:n], ints[n:n], make([][]model.Word, 0, n)
+	w.idx, w.first, w.gold = ints[:0:n], ints[n:n], make([][]trace.Sample, 0, n)
 	watch := func(s model.SignalID) {
 		i, _ := sys.SignalIndex(s)
 		w.idx = append(w.idx, i)
@@ -380,7 +380,7 @@ func (w *permWatch) hook(nowMs int64) {
 	k := int(nowMs)
 	bus := w.rig.Bus()
 	for i, idx := range w.idx {
-		if w.first[i] == trace.NoDifference && bus.PeekIdx(idx) != w.gold[i][k] {
+		if w.first[i] == trace.NoDifference && trace.Peek(bus, idx) != w.gold[i][k] {
 			w.first[i] = k
 			if i < w.outs {
 				w.deviated++

@@ -274,7 +274,7 @@ func TestGoldenTraceMemory(t *testing.T) {
 	}
 }
 
-func firstMismatch(a, b []model.Word) int {
+func firstMismatch(a, b []trace.Sample) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {
 			return i

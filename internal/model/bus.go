@@ -131,8 +131,11 @@ func (b *Bus) PeekIdx(i int) Word {
 
 // PeekRaw returns the stored bit pattern of a signal without hooks.
 func (b *Bus) PeekRaw(id SignalID) Word {
-	return b.values[b.index("PeekRaw", id)]
+	return b.PeekRawIdx(b.index("PeekRaw", id))
 }
+
+// PeekRawIdx is PeekRaw by dense signal index.
+func (b *Bus) PeekRawIdx(i int) Word { return b.values[i] }
 
 // Poke overwrites the stored value of a signal (interpreted domain)
 // without triggering write hooks. The environment simulation uses Poke to

@@ -85,7 +85,6 @@ type Plant struct {
 // state is the plant's dynamic state apart from the noise generator.
 // Every field is a plain value, so two states compare with ==.
 type state struct {
-	timeS  float64
 	level  float64 // m
 	valve  float64 // 0..1 commanded opening (applied directly; valve is fast)
 	inflow float64 // current inflow, m³/s
@@ -187,7 +186,6 @@ func (pl *Plant) StepMs(dtMs int64) {
 			pl.maxLevel = pl.level
 		}
 		pl.pulses += pl.inflow * dt * pl.p.PulsePerM3
-		pl.timeS += dt
 	}
 	pl.levelNoise = pl.noise.Intn(2*pl.p.LevelNoiseLSB+1) - pl.p.LevelNoiseLSB
 }

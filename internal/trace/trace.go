@@ -6,7 +6,11 @@
 //
 // Traces are columnar (one slice per signal) and sampled at a fixed
 // period, matching the target's major control cycle, so that golden and
-// injection runs line up sample-for-sample.
+// injection runs line up sample-for-sample. Each sample is the signal's
+// raw encoded word, the masked bit pattern the bus stores, in 32 bits:
+// every width the model allows fits, and since a signal's codec maps
+// raw words one-to-one onto values, two samples are equal exactly when
+// the values they encode are.
 package trace
 
 import (
@@ -16,11 +20,21 @@ import (
 	"repro/internal/model"
 )
 
+// Sample is one recorded value of a signal: its raw encoded word as the
+// bus holds it, not the decoded value. The model's widths are at most
+// 32 bits, so every raw word fits.
+type Sample uint32
+
+// Peek returns the sample a recorder takes of the signal at dense bus
+// index i, without hooks. Online comparisons against a retained trace
+// read the live bus through it.
+func Peek(bus *model.Bus, i int) Sample { return Sample(bus.PeekRawIdx(i)) }
+
 // Trace holds sampled values for a fixed set of signals.
 type Trace struct {
 	signals []model.SignalID
 	index   map[model.SignalID]int
-	cols    [][]model.Word
+	cols    [][]Sample
 	n       int
 }
 
@@ -30,7 +44,7 @@ func newTrace(signals []model.SignalID) *Trace {
 	t := &Trace{
 		signals: append([]model.SignalID(nil), signals...),
 		index:   make(map[model.SignalID]int, len(signals)),
-		cols:    make([][]model.Word, len(signals)),
+		cols:    make([][]Sample, len(signals)),
 	}
 	for i, s := range signals {
 		if _, dup := t.index[s]; dup {
@@ -49,12 +63,13 @@ func (t *Trace) Signals() []model.SignalID {
 // Len returns the number of samples recorded.
 func (t *Trace) Len() int { return t.n }
 
-// Samples returns all samples of one signal without copying: the slice
-// shares the trace's storage and must not be modified. Online
-// comparisons against a retained golden trace read it sample by sample.
-func (t *Trace) Samples(sig model.SignalID) []model.Word { return t.column(sig) }
+// Samples returns all raw samples of one signal without copying: the
+// slice shares the trace's storage and must not be modified. Online
+// comparisons against a retained golden trace read it sample by sample
+// and compare it with Peek.
+func (t *Trace) Samples(sig model.SignalID) []Sample { return t.column(sig) }
 
-func (t *Trace) column(sig model.SignalID) []model.Word {
+func (t *Trace) column(sig model.SignalID) []Sample {
 	i, ok := t.index[sig]
 	if !ok {
 		panic(fmt.Sprintf("trace: unknown signal %q", sig))
@@ -74,7 +89,8 @@ const NoDifference = -1
 
 // FirstDifference returns the index of the first sample at which the two
 // traces disagree on sig, comparing over the shorter common length. It
-// returns NoDifference if they agree.
+// returns NoDifference if they agree. Raw words are compared; they are
+// equal exactly when the decoded values are.
 func FirstDifference(golden, injected *Trace, sig model.SignalID) int {
 	g, i := golden.column(sig), injected.column(sig)
 	n := len(g)
@@ -116,21 +132,21 @@ type Recorder struct {
 	bus      *model.Bus
 	trace    *Trace
 	periodMs int64
-	idxs     []int         // dense bus index per trace column
-	buf      *[]model.Word // pooled column storage; nil once finished
+	idxs     []int     // dense bus index per trace column
+	buf      *[]Sample // pooled column storage; nil once finished
 }
 
 // recordBufs holds recording buffers between runs. Each is one flat
 // array that a recorder carves into per-signal columns.
 var recordBufs sync.Pool
 
-// getRecordBuf returns a pooled buffer of at least n words, or a new one
-// if the pooled buffer is too small (the small one is dropped).
-func getRecordBuf(n int) *[]model.Word {
-	if b, _ := recordBufs.Get().(*[]model.Word); b != nil && cap(*b) >= n {
+// getRecordBuf returns a pooled buffer of at least n samples, or a new
+// one if the pooled buffer is too small (the small one is dropped).
+func getRecordBuf(n int) *[]Sample {
+	if b, _ := recordBufs.Get().(*[]Sample); b != nil && cap(*b) >= n {
 		return b
 	}
-	b := make([]model.Word, n)
+	b := make([]Sample, n)
 	return &b
 }
 
@@ -171,7 +187,7 @@ func (r *Recorder) Hook(nowMs int64) {
 	}
 	t := r.trace
 	for i, idx := range r.idxs {
-		t.cols[i] = append(t.cols[i], r.bus.PeekIdx(idx))
+		t.cols[i] = append(t.cols[i], Peek(r.bus, idx))
 	}
 	t.n++
 }
@@ -191,7 +207,7 @@ func (r *Recorder) Finish() *Trace {
 		return t
 	}
 	n := t.n
-	exact := make([]model.Word, len(t.cols)*n)
+	exact := make([]Sample, len(t.cols)*n)
 	for i, col := range t.cols {
 		dst := exact[i*n : (i+1)*n : (i+1)*n]
 		copy(dst, col)

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,7 +12,7 @@ import (
 	"repro/internal/model"
 )
 
-func mkTrace(t *testing.T, vals map[model.SignalID][]model.Word) *Trace {
+func mkTrace(t *testing.T, vals map[model.SignalID][]Sample) *Trace {
 	t.Helper()
 	var sigs []model.SignalID
 	n := -1
@@ -32,13 +34,13 @@ func mkTrace(t *testing.T, vals map[model.SignalID][]model.Word) *Trace {
 	}
 	tr := NewTrace(sigs, n)
 	for k := 0; k < n; k++ {
-		tr.Append(func(s model.SignalID) model.Word { return vals[s][k] })
+		tr.Append(func(s model.SignalID) Sample { return vals[s][k] })
 	}
 	return tr
 }
 
 func TestAppendAndValue(t *testing.T) {
-	tr := mkTrace(t, map[model.SignalID][]model.Word{
+	tr := mkTrace(t, map[model.SignalID][]Sample{
 		"a": {1, 2, 3},
 		"b": {10, 20, 30},
 	})
@@ -78,24 +80,24 @@ func TestUnknownSignalPanics(t *testing.T) {
 }
 
 func TestFirstDifference(t *testing.T) {
-	golden := mkTrace(t, map[model.SignalID][]model.Word{
+	golden := mkTrace(t, map[model.SignalID][]Sample{
 		"s": {5, 5, 5, 5, 5},
 	})
 	tests := []struct {
 		name string
-		inj  []model.Word
+		inj  []Sample
 		want int
 	}{
-		{"identical", []model.Word{5, 5, 5, 5, 5}, NoDifference},
-		{"differs at 0", []model.Word{4, 5, 5, 5, 5}, 0},
-		{"differs at 3", []model.Word{5, 5, 5, 9, 5}, 3},
-		{"differs at last", []model.Word{5, 5, 5, 5, 6}, 4},
-		{"shorter identical prefix", []model.Word{5, 5, 5}, NoDifference},
-		{"shorter with diff", []model.Word{5, 7}, 1},
+		{"identical", []Sample{5, 5, 5, 5, 5}, NoDifference},
+		{"differs at 0", []Sample{4, 5, 5, 5, 5}, 0},
+		{"differs at 3", []Sample{5, 5, 5, 9, 5}, 3},
+		{"differs at last", []Sample{5, 5, 5, 5, 6}, 4},
+		{"shorter identical prefix", []Sample{5, 5, 5}, NoDifference},
+		{"shorter with diff", []Sample{5, 7}, 1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			inj := mkTrace(t, map[model.SignalID][]model.Word{"s": tt.inj})
+			inj := mkTrace(t, map[model.SignalID][]Sample{"s": tt.inj})
 			if got := FirstDifference(golden, inj, "s"); got != tt.want {
 				t.Errorf("FirstDifference = %d, want %d", got, tt.want)
 			}
@@ -104,12 +106,12 @@ func TestFirstDifference(t *testing.T) {
 }
 
 func TestDeviations(t *testing.T) {
-	golden := mkTrace(t, map[model.SignalID][]model.Word{
+	golden := mkTrace(t, map[model.SignalID][]Sample{
 		"a": {1, 2, 3},
 		"b": {1, 2, 3},
 		"c": {1, 2, 3},
 	})
-	inj := mkTrace(t, map[model.SignalID][]model.Word{
+	inj := mkTrace(t, map[model.SignalID][]Sample{
 		"a": {1, 2, 3},
 		"b": {1, 9, 3},
 	})
@@ -135,13 +137,13 @@ func TestQuickFirstDifferenceMinimality(t *testing.T) {
 		g := NewTrace([]model.SignalID{"s"}, len(base))
 		i := NewTrace([]model.SignalID{"s"}, len(base))
 		for k, b := range base {
-			v := model.Word(b)
-			g.Append(func(model.SignalID) model.Word { return v })
+			v := Sample(b)
+			g.Append(func(model.SignalID) Sample { return v })
 			iv := v
 			if k == idx {
 				iv = v + 1
 			}
-			i.Append(func(model.SignalID) model.Word { return iv })
+			i.Append(func(model.SignalID) Sample { return iv })
 		}
 		return FirstDifference(g, i, "s") == idx
 	}
@@ -169,7 +171,7 @@ func TestRecorderSamplesOnPeriod(t *testing.T) {
 	if got := tr.Len(); got != 4 { // t = 0, 10, 20, 30
 		t.Fatalf("Len() = %d, want 4", got)
 	}
-	want := []model.Word{0, 10, 20, 30}
+	want := []Sample{0, 10, 20, 30}
 	for i, w := range want {
 		if got := tr.Value("in", i); got != w {
 			t.Errorf("sample %d = %d, want %d", i, got, w)
@@ -192,6 +194,120 @@ func TestRecorderRejectsBadPeriod(t *testing.T) {
 		}
 	}()
 	NewRecorder(model.NewBus(sys), []model.SignalID{"in"}, 0, 10)
+}
+
+// roundTrip lists, per signal of the round-trip fixture, its type and
+// the values written to it in turn: the extremes of each width and
+// signedness the model allows, negative values, and pairs that differ
+// only above bit 15. Neighbours in each list differ, cyclically.
+var roundTrip = []struct {
+	sig  model.SignalID
+	typ  model.Type
+	vals []model.Word
+}{
+	{"u1", model.Uint(1), []model.Word{0, 1}},
+	{"u16", model.Uint(16), []model.Word{0, 0xFFFF, 0x8000, 1, 0x7FFF}},
+	{"u32", model.Uint(32), []model.Word{0xFFFFFFFF, 0, 0x10000, 0x20000, 0x80000000, 0x7FFFFFFF}},
+	{"i8", model.Int(8), []model.Word{-128, 127, -1, 0, 1, -2}},
+	{"i16", model.Int(16), []model.Word{-32768, 32767, -1, 0, -256}},
+	{"i32", model.Int(32), []model.Word{math.MinInt32, math.MaxInt32, -1, 0x10000, -0x10000, 0}},
+}
+
+// TestSampleRoundTrip records every width and signedness at their
+// extreme values: each raw sample is the word the bus stores and decodes
+// to the value PeekIdx returned, and FirstDifference finds the first
+// sample at which the values PeekIdx returned differ.
+func TestSampleRoundTrip(t *testing.T) {
+	b := model.NewBuilder("widths")
+	var sigs []model.SignalID
+	for _, rt := range roundTrip {
+		b.AddSignal(rt.sig, rt.typ, model.AsSystemInput())
+		sigs = append(sigs, rt.sig)
+	}
+	sys, err := b.AddSignal("out", model.Uint(1), model.AsSystemOutput(1)).
+		AddModule("M", model.In(sigs...), model.Out("out")).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 30
+	// run records n samples, writing vals[k%len] to each signal at sample
+	// k, except at sample skew[sig], which writes the next value instead.
+	// It returns the trace and the values PeekIdx read per signal.
+	run := func(skew map[model.SignalID]int) (*Trace, map[model.SignalID][]model.Word) {
+		bus := model.NewBus(sys)
+		rec := NewRecorder(bus, sigs, 1, n)
+		peeked := make(map[model.SignalID][]model.Word)
+		for k := 0; k < n; k++ {
+			for _, rt := range roundTrip {
+				j := k
+				if at, ok := skew[rt.sig]; ok && k == at {
+					j++
+				}
+				v := rt.vals[j%len(rt.vals)]
+				bus.Poke(rt.sig, v)
+				i, _ := sys.SignalIndex(rt.sig)
+				got := bus.PeekIdx(i)
+				if got != v {
+					t.Fatalf("%s: wrote %d, PeekIdx read %d", rt.sig, v, got)
+				}
+				if got := bus.PeekRawIdx(i); got != bus.PeekRaw(rt.sig) {
+					t.Fatalf("%s: PeekRawIdx %#x, PeekRaw %#x", rt.sig, got, bus.PeekRaw(rt.sig))
+				}
+				peeked[rt.sig] = append(peeked[rt.sig], got)
+			}
+			rec.Hook(int64(k))
+			for _, rt := range roundTrip {
+				col := rec.Trace().Samples(rt.sig)
+				if raw := bus.PeekRaw(rt.sig); model.Word(col[k]) != raw {
+					t.Fatalf("%s sample %d = %#x, want the bus's raw word %#x", rt.sig, k, col[k], raw)
+				}
+			}
+		}
+		return rec.Finish(), peeked
+	}
+	decode := func(typ model.Type, col []Sample) []model.Word {
+		out := make([]model.Word, len(col))
+		for k, s := range col {
+			out[k] = typ.FromRaw(model.Word(s))
+		}
+		return out
+	}
+
+	checkDecoded := func(tr *Trace, peeked map[model.SignalID][]model.Word) {
+		t.Helper()
+		for _, rt := range roundTrip {
+			if got := decode(rt.typ, tr.Samples(rt.sig)); !slices.Equal(got, peeked[rt.sig]) {
+				t.Fatalf("%s: decoded samples %v, PeekIdx read %v", rt.sig, got, peeked[rt.sig])
+			}
+		}
+	}
+
+	golden, want := run(nil)
+	checkDecoded(golden, want)
+	for _, at := range []int{0, 1, 7, n - 1} {
+		skew := make(map[model.SignalID]int)
+		for i, rt := range roundTrip {
+			skew[rt.sig] = (at + i) % n
+		}
+		injected, peeked := run(skew)
+		checkDecoded(injected, peeked)
+		for _, rt := range roundTrip {
+			wantFD := NoDifference
+			for k, v := range want[rt.sig] {
+				if v != peeked[rt.sig][k] {
+					wantFD = k
+					break
+				}
+			}
+			if wantFD != skew[rt.sig] {
+				t.Fatalf("%s: the value written at sample %d equals the golden one", rt.sig, skew[rt.sig])
+			}
+			if got := FirstDifference(golden, injected, rt.sig); got != wantFD {
+				t.Errorf("%s: FirstDifference = %d, the values PeekIdx read first differ at %d", rt.sig, got, wantFD)
+			}
+		}
+	}
 }
 
 // recFixture is a two-signal bus for recorder tests.
@@ -234,7 +350,7 @@ func checkSamples(t *testing.T, tr *Trace, n int, base model.Word) {
 			t.Fatalf("%s: %d samples, want %d", s.sig, len(col), n)
 		}
 		for k, v := range col {
-			if want := base + s.step*model.Word(k); v != want {
+			if want := base + s.step*model.Word(k); model.Word(v) != want {
 				t.Fatalf("%s sample %d = %d, want %d", s.sig, k, v, want)
 			}
 		}
@@ -348,14 +464,14 @@ func TestRecorderConcurrentRecordings(t *testing.T) {
 func NewTrace(signals []model.SignalID, capacityHint int) *Trace {
 	t := newTrace(signals)
 	for i := range t.cols {
-		t.cols[i] = make([]model.Word, 0, capacityHint)
+		t.cols[i] = make([]Sample, 0, capacityHint)
 	}
 	return t
 }
 
 // Append records one sample row; values are read through the provided
-// getter (typically Bus.Peek so recording never perturbs the system).
-func (t *Trace) Append(get func(model.SignalID) model.Word) {
+// getter.
+func (t *Trace) Append(get func(model.SignalID) Sample) {
 	for i, s := range t.signals {
 		t.cols[i] = append(t.cols[i], get(s))
 	}
@@ -363,13 +479,13 @@ func (t *Trace) Append(get func(model.SignalID) model.Word) {
 }
 
 // Column returns a copy of all samples of one signal.
-func (t *Trace) Column(sig model.SignalID) []model.Word {
-	return append([]model.Word(nil), t.column(sig)...)
+func (t *Trace) Column(sig model.SignalID) []Sample {
+	return append([]Sample(nil), t.column(sig)...)
 }
 
 // Value returns sample idx of a signal. It panics on unknown signals or
 // out-of-range indices — both are harness bugs, not data conditions.
-func (t *Trace) Value(sig model.SignalID, idx int) model.Word {
+func (t *Trace) Value(sig model.SignalID, idx int) Sample {
 	col := t.column(sig)
 	if idx < 0 || idx >= len(col) {
 		panic(fmt.Sprintf("trace: sample %d of %q out of range (%d samples)", idx, sig, len(col)))
