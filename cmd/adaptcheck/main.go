@@ -21,7 +21,9 @@
 // sample of the very injections the liveness profile classifies masked
 // and requires each witness run to be indistinguishable from the golden
 // run — same completion time and no difference on any recorded signal.
-// Any divergence is a pruning unsoundness and fails the audit.
+// Any divergence is a pruning unsoundness and fails the audit. A target
+// on which no injection is classified masked runs no witness; its audit
+// reports "nothing to prove" rather than sound pruning.
 //
 // With -mode trace the tool analyzes the NDJSON event log written by a
 // campaign's -events-out flag: it reconstructs the merged span trees
@@ -405,10 +407,20 @@ func runLiveness(targetList string, perClass int, seed int64) error {
 			}
 			continue
 		}
-		fmt.Printf("adaptcheck: %s: every witness matched its golden trace — pruning is sound\n", res.Target)
+		fmt.Println(livenessVerdict(res))
 	}
 	if failed {
 		return fmt.Errorf("liveness audit found pruning violations")
 	}
 	return nil
+}
+
+// livenessVerdict is the closing line of an audit without violations.
+// An audit that ran no witness compared no trace, so it proves nothing
+// and must not read as a proof.
+func livenessVerdict(res *experiment.LivenessAuditResult) string {
+	if res.Proofs == 0 {
+		return fmt.Sprintf("adaptcheck: %s: no masked target sampled, no witness run — nothing to prove", res.Target)
+	}
+	return fmt.Sprintf("adaptcheck: %s: every witness matched its golden trace — pruning is sound", res.Target)
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // TestCheckAnalytic covers each bound of the solver timing contract and
@@ -107,6 +109,24 @@ func TestValidateFlags(t *testing.T) {
 		err := validateFlags(tc.mode, tc.exact, tc.adaptive, tc.bench, tc.ev, tc.z, tc.perClass)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: validateFlags = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestLivenessVerdict: an audit with witness runs and no violation
+// reports sound pruning; one with no witness run reports that it had
+// nothing to prove.
+func TestLivenessVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		proofs int
+		want   string
+	}{
+		{0, "adaptcheck: tank: no masked target sampled, no witness run — nothing to prove"},
+		{4, "adaptcheck: tank: every witness matched its golden trace — pruning is sound"},
+	} {
+		res := &experiment.LivenessAuditResult{Target: "tank", Cases: 6, Proofs: tc.proofs}
+		if got := livenessVerdict(res); got != tc.want {
+			t.Errorf("%d witness run(s): %q, want %q", tc.proofs, got, tc.want)
 		}
 	}
 }

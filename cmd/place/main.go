@@ -284,30 +284,60 @@ func benchSolver(col *campaign.Collector, p *core.Permeability, modules []model.
 	return nil
 }
 
-// benchLoop runs op until it has accumulated ~50 ms of wall time (at
-// least 10 and at most 20000 iterations) and observes one timing row
-// with per-op wall time and allocation deltas.
+// benchLoop's timing windows: each runs op for about windowBudget, at
+// least windowMinIters and at most windowMaxIters times.
+const (
+	benchWindows   = 20
+	windowBudget   = 5 * time.Millisecond
+	windowMinIters = 3
+	windowMaxIters = 2000
+)
+
+// window is one timed stretch of benchLoop's repetitions.
+type window struct {
+	runs int
+	wall time.Duration
+}
+
+// fastest returns the window with the least wall time per op (the
+// first of equals).
+func fastest(ws []window) window {
+	best := ws[0]
+	for _, w := range ws[1:] {
+		if w.wall*time.Duration(best.runs) < best.wall*time.Duration(w.runs) {
+			best = w
+		}
+	}
+	return best
+}
+
+// benchLoop runs op over benchWindows short windows and observes one
+// timing row: the runs and wall time of the fastest window, a per-op
+// minimum that a slow spell of the host over some windows does not
+// decide, with allocation deltas averaged over every run.
 func benchLoop(col *campaign.Collector, name string, op func(i int) error) error {
-	const (
-		minIters = 10
-		maxIters = 20000
-		budget   = 50 * time.Millisecond
-	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
-	runs := 0
-	for runs < maxIters && (runs < minIters || time.Since(start) < budget) {
-		if err := op(runs); err != nil {
-			return fmt.Errorf("bench %s: %w", name, err)
+	ws := make([]window, 0, benchWindows)
+	i := 0
+	for range benchWindows {
+		var w window
+		start := time.Now()
+		for w.runs < windowMaxIters && (w.runs < windowMinIters || time.Since(start) < windowBudget) {
+			if err := op(i); err != nil {
+				return fmt.Errorf("bench %s: %w", name, err)
+			}
+			i++
+			w.runs++
 		}
-		runs++
+		w.wall = time.Since(start)
+		ws = append(ws, w)
 	}
-	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	col.ObserveExt(name, runs, wall, campaign.Extras{
-		AllocsPerOp:     float64(after.Mallocs-before.Mallocs) / float64(runs),
-		AllocBytesPerOp: float64(after.TotalAlloc-before.TotalAlloc) / float64(runs),
+	best := fastest(ws)
+	col.ObserveExt(name, best.runs, best.wall, campaign.Extras{
+		AllocsPerOp:     float64(after.Mallocs-before.Mallocs) / float64(i),
+		AllocBytesPerOp: float64(after.TotalAlloc-before.TotalAlloc) / float64(i),
 	})
 	return nil
 }

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analytic"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/paper"
@@ -93,5 +95,47 @@ func TestSelectionsMatchTreeReference(t *testing.T) {
 	}
 	if !strings.Contains(got, "Table 2") {
 		t.Fatalf("rendering lacks Table 2:\n%s", got)
+	}
+}
+
+// TestFastestWindow: the row takes the window with the least wall time
+// per op, not the longest or the one with the most runs.
+func TestFastestWindow(t *testing.T) {
+	ws := []window{
+		{runs: 10, wall: 20 * time.Millisecond},  // 2 ms/op
+		{runs: 100, wall: 50 * time.Millisecond}, // 0.5 ms/op
+		{runs: 200, wall: 60 * time.Millisecond}, // 0.3 ms/op
+		{runs: 300, wall: 90 * time.Millisecond}, // 0.3 ms/op, a later equal
+		{runs: 3, wall: 5 * time.Millisecond},    // 1.7 ms/op
+	}
+	if got, want := fastest(ws), ws[2]; got != want {
+		t.Errorf("fastest = %+v, want %+v", got, want)
+	}
+}
+
+// TestBenchLoopReportsFastestWindow: when every window but one runs
+// slow ops, the row is that one window's, so its per-op time is the
+// fast ops' and not a mean dragged up by the slow windows. The first
+// window's windowMinIters slow ops overrun its budget, the second runs
+// windowMaxIters fast ops, and every later op is slow again.
+func TestBenchLoopReportsFastestWindow(t *testing.T) {
+	slow := windowBudget/windowMinIters + time.Millisecond
+	col := campaign.NewCollector()
+	err := benchLoop(col, "probe", func(i int) error {
+		if i < windowMinIters || i >= windowMinIters+windowMaxIters {
+			time.Sleep(slow)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := col.Rows()
+	if len(rows) != 1 || rows[0].Campaign != "probe" {
+		t.Fatalf("rows = %+v, want one probe row", rows)
+	}
+	if r := rows[0]; r.Runs != windowMaxIters || r.WallS >= slow.Seconds() {
+		t.Errorf("row has %d runs over %.4f s, want the fast window's %d runs in under %.4f s",
+			r.Runs, r.WallS, windowMaxIters, slow.Seconds())
 	}
 }

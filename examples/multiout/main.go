@@ -55,7 +55,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("%-10s %13.3f  %14.3f  %11.3f\n",
-			sp.Signal, sp.ImpactOn["fuel_cmd"], sp.ImpactOn["diag_word"], sp.Criticality)
+			sp.Signal, pr.ImpactOn(sp, "fuel_cmd"), pr.ImpactOn(sp, "diag_word"), sp.Criticality)
 	}
 
 	// load and mix have the same impact on the actuator path shape but
@@ -64,9 +64,9 @@ func main() {
 	load, _ := pr.Signal("load")
 	mix, _ := pr.Signal("mix")
 	fmt.Printf("\nload:  impact on fuel %.3f, on diag %.3f -> criticality %.3f\n",
-		load.ImpactOn["fuel_cmd"], load.ImpactOn["diag_word"], load.Criticality)
+		pr.ImpactOn(load, "fuel_cmd"), pr.ImpactOn(load, "diag_word"), load.Criticality)
 	fmt.Printf("mix:   impact on fuel %.3f, on diag %.3f -> criticality %.3f\n",
-		mix.ImpactOn["fuel_cmd"], mix.ImpactOn["diag_word"], mix.Criticality)
+		pr.ImpactOn(mix, "fuel_cmd"), pr.ImpactOn(mix, "diag_word"), mix.Criticality)
 
 	// Policy change: the operator now treats diagnostics as critical
 	// (e.g. certification telemetry). Criticalities re-rank without
@@ -78,8 +78,8 @@ func main() {
 			continue
 		}
 		prod := 1.0
-		for _, o := range sys.SystemOutputs() {
-			prod *= 1 - crits[o]*sp.ImpactOn[o]
+		for i, o := range sys.SystemOutputs() {
+			prod *= 1 - crits[o]*sp.Impacts[i]
 		}
 		fmt.Printf("%-10s criticality %.3f\n", sp.Signal, 1-prod)
 	}

@@ -152,14 +152,7 @@ func sameProfile(t *testing.T, where string, got, want *core.Profile) {
 		sameFloats(t, fmt.Sprintf("%s: profile of %s", where, s),
 			[]float64{g.Exposure, g.Impact, g.Criticality, g.MaxInPermeability},
 			[]float64{w.Exposure, w.Impact, w.Criticality, w.MaxInPermeability})
-		if len(g.ImpactOn) != len(w.ImpactOn) {
-			t.Fatalf("%s: %s impacts %d outputs, fresh engine %d", where, s, len(g.ImpactOn), len(w.ImpactOn))
-		}
-		for o, v := range w.ImpactOn {
-			if math.Float64bits(g.ImpactOn[o]) != math.Float64bits(v) {
-				t.Fatalf("%s: I(%s→%s) = %v, fresh engine %v", where, s, o, g.ImpactOn[o], v)
-			}
-		}
+		sameFloats(t, fmt.Sprintf("%s: output impacts of %s", where, s), g.Impacts, w.Impacts)
 	}
 	for _, m := range []core.Metric{core.ByExposure, core.ByImpact, core.ByCriticality} {
 		g, w := got.Ranked(m), want.Ranked(m)

@@ -2,6 +2,8 @@ package analytic
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -45,12 +47,12 @@ type sysCache struct {
 
 // row is one cached solver row: the impacts on every signal in dense
 // order, or for an outputs row on the system outputs in declaration
-// order. An outputs row also carries what a profile derives from it
-// alone (the ImpactOn map, the max impact and Eq. 4's criticality),
-// built once and shared by every profile that reads the row.
+// order — then vals is the profile's SignalProfile.Impacts, shared by
+// every profile that reads the row. An outputs row also carries what a
+// profile derives from it alone (the max impact and Eq. 4's
+// criticality), computed once.
 type row struct {
 	vals        []float64
-	impactOn    map[model.SignalID]float64
 	impact      float64
 	criticality float64
 }
@@ -60,10 +62,8 @@ type row struct {
 // as core.BuildProfile's and core.CriticalityWith's do, so a signal
 // whose output impacts are all exact gets the tree's criticality bits.
 func (t *topology) deriveOutputs(r *row) {
-	r.impactOn = make(map[model.SignalID]float64, len(r.vals))
 	critProd := 1.0
 	for oi, imp := range r.vals {
-		r.impactOn[t.sys.SignalAt(int(t.outIdx[oi])).ID] = imp
 		if imp > r.impact {
 			r.impact = imp
 		}
@@ -113,8 +113,11 @@ func (e *Engine) Stats() Stats {
 
 // contextFor compiles (or recalls) the matrix's solve context. The
 // fingerprint pass reads every permeability, so a mutated-in-place
-// matrix is re-compiled automatically. A new context re-uses the
-// cached shape of its active-edge set when there is one.
+// matrix is re-compiled automatically. A context is recalled only
+// when its permeabilities equal the matrix's bit for bit: a
+// fingerprint collision is a miss, and the new context takes the
+// fingerprint's slot. A new context re-uses the cached shape of its
+// active-edge set when there is one.
 func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 	sys := p.System()
 	if sys == nil {
@@ -144,7 +147,7 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 	e.mu.Lock()
 	ctx, ok := sc.ctxs[fp]
 	e.mu.Unlock()
-	if ok {
+	if ok && sameBits(ctx.perm, perm) {
 		return sc, ctx, nil
 	}
 	key := sc.top.activeKey(perm)
@@ -167,7 +170,7 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 
 	ctx = compileContext(sc.top, sh, perm, modHash, fp)
 	e.mu.Lock()
-	if prev, ok := sc.ctxs[fp]; ok {
+	if prev, ok := sc.ctxs[fp]; ok && sameBits(prev.perm, perm) {
 		ctx = prev
 	} else {
 		if len(sc.ctxs) >= maxContexts {
@@ -177,6 +180,12 @@ func (e *Engine) contextFor(p *core.Permeability) (*sysCache, *context, error) {
 	}
 	e.mu.Unlock()
 	return sc, ctx, nil
+}
+
+// sameBits reports whether two permeability vectors are equal bit for
+// bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // rowFor returns the memoized impact row for one source, solving it on

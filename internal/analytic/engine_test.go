@@ -224,9 +224,12 @@ func sameOutputRows(t *testing.T, pr *core.Profile) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range sys.SystemOutputs() {
+		if len(sp.Impacts) != len(sys.SystemOutputs()) {
+			t.Fatalf("%s: %s has %d output impacts, want %d", sys.Name(), s, len(sp.Impacts), len(sys.SystemOutputs()))
+		}
+		for i, o := range sys.SystemOutputs() {
 			oi, _ := sys.SignalIndex(o)
-			if got, want := sp.ImpactOn[o], row[oi]; math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := sp.Impacts[i], row[oi]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s: Profile I(%s→%s) = %v, full row %v", sys.Name(), s, o, got, want)
 			}
 		}
@@ -326,6 +329,42 @@ func TestMutatedMatrixIsRecompiled(t *testing.T) {
 	}
 	if after >= before {
 		t.Fatalf("weakening PRES_A did not lower impact: %v -> %v", before, after)
+	}
+}
+
+// TestFingerprintCollisionIsAMiss plants another matrix's context
+// under a matrix's fingerprint, as a 64-bit collision would, and checks
+// that the engine does not answer from it: the stored permeabilities
+// differ from the matrix's, so the hit is a miss and the profile is a
+// fresh engine's, bit for bit.
+func TestFingerprintCollisionIsAMiss(t *testing.T) {
+	_, a := Grid(6, 4)
+	b, err := a.ScaleModule("M_0_0", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	if _, err := e.Profile(a); err != nil {
+		t.Fatal(err)
+	}
+	sc := e.systems[a.System()]
+	_, _, fpA := sc.top.readMatrix(a)
+	_, _, fpB := sc.top.readMatrix(b)
+	if fpA == fpB {
+		t.Fatal("the two matrices share a fingerprint; pick another edit")
+	}
+	sc.ctxs[fpB] = sc.ctxs[fpA]
+	got, err := e.Profile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New().Profile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameProfile(t, "planted context", got, want)
+	if ctx := sc.ctxs[fpB]; !sameBits(ctx.perm, b.Values()) {
+		t.Error("the recompiled context did not take the fingerprint's slot")
 	}
 }
 

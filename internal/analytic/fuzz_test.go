@@ -62,15 +62,19 @@ func FuzzAnalyticMatchesTree(f *testing.F) {
 				t.Errorf("%s: exposure/witness %v/%v, want %v/%v",
 					s, h.Exposure, h.MaxInPermeability, w.Exposure, w.MaxInPermeability)
 			}
-			for o, want := range w.ImpactOn {
+			if len(h.Impacts) != len(w.Impacts) {
+				t.Fatalf("%s: %d output impacts, tree %d", s, len(h.Impacts), len(w.Impacts))
+			}
+			for oi, o := range sys.SystemOutputs() {
+				want, have := w.Impacts[oi], h.Impacts[oi]
 				if positivePaths(t, p, s, o) >= 2 {
 					multiPath[s] = true
-				} else if h.ImpactOn[o] != want {
+				} else if math.Float64bits(have) != math.Float64bits(want) {
 					t.Errorf("single-path impact %s->%s: analytic %v, tree %v (must be bit-equal)",
-						s, o, h.ImpactOn[o], want)
+						s, o, have, want)
 				}
-				if math.Abs(h.ImpactOn[o]-want) > eps {
-					t.Errorf("impact %s->%s: analytic %v, tree %v", s, o, h.ImpactOn[o], want)
+				if math.Abs(have-want) > eps {
+					t.Errorf("impact %s->%s: analytic %v, tree %v", s, o, have, want)
 				}
 			}
 			if math.Abs(w.Criticality-h.Criticality) > eps {

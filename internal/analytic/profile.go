@@ -9,7 +9,7 @@ import "repro/internal/core"
 // rules and report tables consume. The rows are scoped to the system
 // outputs, the only destinations a profile reads: each stops once the
 // outputs have converged, with values bit-equal to full rows there.
-// Each signal's ImpactOn map belongs to its cached row and is shared
+// Each signal's Impacts slice belongs to its cached row and is shared
 // with every profile that reads the row: read it, never write it.
 //
 // Semantics match core.BuildProfile: exposure sums producing-pair
@@ -56,7 +56,7 @@ func (e *Engine) Profile(p *core.Permeability) (*core.Profile, error) {
 			Kind:              sig.Kind,
 			IsBool:            sig.IsBool(),
 			Exposure:          expo[s],
-			ImpactOn:          row.impactOn,
+			Impacts:           row.vals,
 			Impact:            row.impact,
 			Criticality:       row.criticality,
 			MaxInPermeability: maxIn[s],

@@ -36,6 +36,38 @@ func TestPlacementQueryAllocs(t *testing.T) {
 	}
 }
 
+// TestProfileAllocs bounds what a profile allocates on Grid(12,8).
+// Warm, every row a cache hit: the matrix copy and its module hashes,
+// the exposure and witness sums, the signal profiles and the Profile
+// itself — 6 allocations. Cold, from a new engine: the topology, the
+// shape (with one active out-edge list per signal), the context and
+// every row, one row struct and one value slice per signal — 349
+// allocations.
+func TestProfileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	_, p := Grid(12, 8)
+	warm := New()
+	if _, err := warm.Profile(p); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		bound float64
+		run   func()
+	}{
+		{"warm", 6, func() { warm.Profile(p) }},
+		{"cold", 349, func() { New().Profile(p) }},
+	} {
+		allocs := testing.AllocsPerRun(20, c.run)
+		t.Logf("%s profile: %v allocations", c.name, allocs)
+		if allocs > c.bound {
+			t.Errorf("%s profile made %v allocations, want at most %v", c.name, allocs, c.bound)
+		}
+	}
+}
+
 // topOracle is makeCell's top signal as it stood before the argmax
 // scan: the first non-output of the criticality ranking.
 func topOracle(pr *core.Profile) (model.SignalID, float64) {

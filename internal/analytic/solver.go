@@ -67,8 +67,11 @@ type topology struct {
 	eTo   []int32
 	// Per-module views, indexed by module ordinal (declaration order).
 	// Module m's edges are edges[modLo[m]:modLo[m+1]].
-	modLo  []int32
-	modIns [][]int32 // unique dense input-signal indices of each module
+	modLo []int32
+	// readers holds n rows of modWords words: the modules with an input
+	// bound to each signal.
+	modWords int
+	readers  []uint64
 	// System outputs in declaration order, with their criticalities;
 	// outOrd maps a dense signal index to its position in outIdx (-1
 	// for other signals).
@@ -85,20 +88,15 @@ func compileTopology(sys *model.System) *topology {
 	t.eTo = make([]int32, len(t.edges))
 	mods := sys.Modules()
 	t.modLo = make([]int32, 0, len(mods)+1)
-	t.modIns = make([][]int32, 0, len(mods))
-	for _, m := range mods {
-		lo, _, _ := sys.ModuleEdges(m.ID)
+	t.modWords = (len(mods) + 63) / 64
+	t.readers = make([]uint64, t.n*t.modWords)
+	for m, md := range mods {
+		lo, _, _ := sys.ModuleEdges(md.ID)
 		t.modLo = append(t.modLo, int32(lo))
-		ins := make([]int32, 0, len(m.Inputs))
-		seen := make(map[int32]bool, len(m.Inputs))
-		for _, pb := range m.Inputs {
+		for _, pb := range md.Inputs {
 			i, _ := sys.SignalIndex(pb.Signal)
-			if !seen[int32(i)] {
-				seen[int32(i)] = true
-				ins = append(ins, int32(i))
-			}
+			t.readers[i*t.modWords+m>>6] |= 1 << (uint(m) & 63)
 		}
-		t.modIns = append(t.modIns, ins)
 	}
 	t.modLo = append(t.modLo, int32(len(t.edges)))
 	for i, e := range t.edges {
@@ -154,10 +152,9 @@ type shape struct {
 	outWords int
 	outReach []uint64
 
-	// coneMods holds n rows of modWords words: the modules with an input
-	// that s reaches, exactly the modules whose sub-matrix can influence
-	// s's row.
-	modWords int
+	// coneMods holds n rows of top.modWords words: the modules with an
+	// input that s reaches, exactly the modules whose sub-matrix can
+	// influence s's row.
 	coneMods []uint64
 }
 
@@ -191,9 +188,9 @@ func mix(h, v uint64) uint64 {
 // any change to a module's entries must change its hash).
 func (t *topology) readMatrix(p *core.Permeability) (perm []float64, modHash []uint64, fp uint64) {
 	perm = p.Values()
-	modHash = make([]uint64, len(t.modIns))
+	modHash = make([]uint64, len(t.modLo)-1)
 	fp = hashSeed
-	for m := range t.modIns {
+	for m := range modHash {
 		h := mix(hashSeed, uint64(m)+1)
 		for _, v := range perm[t.modLo[m]:t.modLo[m+1]] {
 			h = mix(h, math.Float64bits(v))
@@ -275,15 +272,17 @@ func compileShape(top *topology, perm []float64) *shape {
 		}
 	}
 
-	sh.modWords = (len(top.modIns) + 63) / 64
-	sh.coneMods = make([]uint64, n*sh.modWords)
-	for s := int32(0); s < int32(n); s++ {
-		cone := sh.coneMods[int(s)*sh.modWords : (int(s)+1)*sh.modWords]
-		for m, ins := range top.modIns {
-			for _, in := range ins {
-				if sh.reaches(s, in) {
-					cone[m>>6] |= 1 << (uint(m) & 63)
-					break
+	// A source's cone modules are the union, over the signals it
+	// reaches, of the modules reading each signal.
+	mw := top.modWords
+	sh.coneMods = make([]uint64, n*mw)
+	for s := 0; s < n; s++ {
+		cone := sh.coneMods[s*mw : (s+1)*mw]
+		for w, set := range sh.reach[s*sh.words : (s+1)*sh.words] {
+			for ; set != 0; set &= set - 1 {
+				v := w<<6 + bits.TrailingZeros64(set)
+				for i, r := range top.readers[v*mw : (v+1)*mw] {
+					cone[i] |= r
 				}
 			}
 		}
@@ -305,7 +304,7 @@ func compileContext(top *topology, sh *shape, perm []float64, modHash []uint64, 
 	c.coneKey = make([]uint64, top.n)
 	for s := range c.coneKey {
 		h := uint64(hashSeed)
-		for w, set := range sh.coneMods[s*sh.modWords : (s+1)*sh.modWords] {
+		for w, set := range sh.coneMods[s*top.modWords : (s+1)*top.modWords] {
 			for ; set != 0; set &= set - 1 {
 				h = mix(h, modHash[w<<6+bits.TrailingZeros64(set)])
 			}
@@ -330,7 +329,8 @@ func (c *shape) condense(top *topology, outAdj [][]int32) {
 	}
 	var stack []int32
 	var next int32
-	var comps [][]int32 // reverse topological order as emitted
+	var comps [][]int32            // reverse topological order as emitted
+	emitted := make([]int32, 0, n) // their members, back to back
 
 	var strongconnect func(v int32)
 	strongconnect = func(v int32) {
@@ -351,17 +351,17 @@ func (c *shape) condense(top *topology, outAdj [][]int32) {
 			}
 		}
 		if low[v] == index[v] {
-			var comp []int32
+			start := len(emitted)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				emitted = append(emitted, w)
 				if w == v {
 					break
 				}
 			}
-			comps = append(comps, comp)
+			comps = append(comps, emitted[start:])
 		}
 	}
 	for v := int32(0); v < int32(n); v++ {

@@ -28,11 +28,14 @@
 // interprets them as probabilities beyond clamping to [0, 1].
 //
 // Every profile outside tests comes from internal/analytic, which solves
-// Eqs. 2–4 without enumerating paths. The tree-based code here —
+// Eqs. 2–4 without enumerating paths. The path-enumerating code here —
 // BuildProfile, Impact, Criticality, CriticalityWith and the trees of
 // trees.go — is the reference oracle the solver is tested against, the
 // Figure 4 / propan -tree|-backtrack|-impact artifact, and the tree unit
-// of the place-analytic benchmark.
+// of the place-analytic benchmark. Impact folds Eq. 2 over a built
+// impact tree; BuildProfile and CriticalityWith fold it during a walk
+// over the same paths that builds no tree, and the trees are that
+// walk's oracle.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -205,6 +206,34 @@ func TestProfileBasics(t *testing.T) {
 	op, _ := pr.Signal("out")
 	if op.Impact != 1 {
 		t.Errorf("output impact = %v, want 1", op.Impact)
+	}
+}
+
+// TestSignalOnShuffledProfile: a profile whose signals are not in
+// dense order, or are a subset, still finds every signal by name.
+func TestSignalOnShuffledProfile(t *testing.T) {
+	pr, sys := placementSystem(t)
+	sigs := pr.Signals()
+	slices.Reverse(sigs)
+	for name, shuffled := range map[string]*Profile{
+		"reversed": NewProfile(pr.Permeability(), sigs),
+		"subset":   NewProfile(pr.Permeability(), sigs[1:]),
+	} {
+		for _, want := range sigs {
+			got, err := shuffled.Signal(want.Signal)
+			if name == "subset" && want.Signal == sigs[0].Signal {
+				if err == nil {
+					t.Errorf("%s: Signal(%s) found a dropped signal", name, want.Signal)
+				}
+				continue
+			}
+			if err != nil || got.Signal != want.Signal || got.Exposure != want.Exposure {
+				t.Errorf("%s: Signal(%s) = %+v, %v; want %+v", name, want.Signal, got, err, want)
+			}
+		}
+	}
+	if len(sigs) != sys.NumSignals() {
+		t.Fatalf("profile has %d signals, system %d", len(sigs), sys.NumSignals())
 	}
 }
 

@@ -17,10 +17,12 @@ type SignalProfile struct {
 
 	// Exposure is the (non-weighted) signal error exposure X^S_s.
 	Exposure float64
-	// ImpactOn maps each system output o to I(s → o). A system output's
-	// entry for itself is 1. The map is read-only: profiles from
-	// internal/analytic share it with the solver's row cache.
-	ImpactOn map[model.SignalID]float64
+	// Impacts holds I(s → o) for every system output o, one entry per
+	// output in model.System.SystemOutputs order (Profile.ImpactOn looks
+	// one up by name). A system output's entry for itself is 1. The
+	// slice is read-only: profiles from internal/analytic share it with
+	// the solver's row cache.
+	Impacts []float64
 	// Impact is the largest per-output impact — for single-output
 	// systems, exactly the Table 5 column.
 	Impact float64
@@ -38,73 +40,62 @@ type SignalProfile struct {
 type Profile struct {
 	perm    *Permeability
 	signals []SignalProfile
-	byID    map[model.SignalID]int
 }
 
-// BuildProfile computes every per-signal measure by tree-based path
-// enumeration, building one impact tree per signal and folding every
-// output's impact from it. It is the reference oracle, not the
-// production path: profiles come from internal/analytic, and
-// BuildProfile is what tests and cmd/inject's matrix cross-check
-// compare them against, and the tree unit of the place-analytic
-// benchmark.
+// BuildProfile computes every per-signal measure by path enumeration:
+// one depth-first walk per signal over the paths its impact tree would
+// hold, folding every output's impact on the way (impactWalk). It is
+// the reference oracle, not the production path: profiles come from
+// internal/analytic, and BuildProfile is what tests and cmd/inject's
+// matrix cross-check compare them against, and the tree unit of the
+// place-analytic benchmark. Signals are in dense (declaration) order.
 func BuildProfile(p *Permeability) (*Profile, error) {
 	sys := p.sys
-	outs := sys.SystemOutputs()
-	crits := outputCriticalities(sys)
-	pr := &Profile{
-		perm: p,
-		byID: make(map[model.SignalID]int, len(sys.SignalIDs())),
+	n := sys.NumSignals()
+	w := newImpactWalk(p)
+	k := len(w.outs)
+	crits := make([]float64, k)
+	for i, o := range w.outs {
+		crits[i] = sys.SignalAt(int(o)).Criticality
 	}
-	for _, sig := range sys.Signals() {
-		sp := SignalProfile{
-			Signal:   sig.ID,
-			Kind:     sig.Kind,
-			IsBool:   sig.IsBool(),
-			ImpactOn: make(map[model.SignalID]float64, len(outs)),
+	signals := make([]SignalProfile, n)
+	imps := make([]float64, n*k)
+	// Exposure (the sum of the producing pairs' permeabilities) and the
+	// witness permeability in one edge pass, in InEdges order per signal.
+	for i, e := range sys.Edges() {
+		t, _ := sys.SignalIndex(e.To)
+		v := p.values[i]
+		signals[t].Exposure += v
+		if v > signals[t].MaxInPermeability {
+			signals[t].MaxInPermeability = v
 		}
-		x, err := p.SignalExposure(sig.ID)
-		if err != nil {
+	}
+	for s := range signals {
+		sig, sp := sys.SignalAt(s), &signals[s]
+		sp.Signal, sp.Kind, sp.IsBool = sig.ID, sig.Kind, sig.IsBool()
+		sp.Impacts = imps[s*k : (s+1)*k : (s+1)*k]
+		if err := w.impacts(int32(s), sp.Impacts); err != nil {
 			return nil, err
 		}
-		sp.Exposure = x
-		imps, err := outputImpacts(p, sig.ID, outs)
-		if err != nil {
-			return nil, err
-		}
-		for i, o := range outs {
-			sp.ImpactOn[o] = imps[i]
-			if imps[i] > sp.Impact {
-				sp.Impact = imps[i]
+		for _, v := range sp.Impacts {
+			if v > sp.Impact {
+				sp.Impact = v
 			}
 		}
-		sp.Criticality = foldCriticality(outs, imps, crits)
-		for _, e := range sys.InEdges(sig.ID) {
-			if v := p.Get(e); v > sp.MaxInPermeability {
-				sp.MaxInPermeability = v
-			}
-		}
-		pr.byID[sig.ID] = len(pr.signals)
-		pr.signals = append(pr.signals, sp)
+		sp.Criticality = foldCriticality(sp.Impacts, crits)
 	}
-	return pr, nil
+	return NewProfile(p, signals), nil
 }
 
 // NewProfile assembles a Profile from externally computed signal
 // measures — the seam internal/analytic uses to return its solver
 // results in the exact shape the placement rules and report tables
-// consume. Signals keep the given order; BuildProfile remains the
-// tree-based reference constructor.
+// consume. The profile takes ownership of signals and keeps their
+// order; Signal finds a name at once when the signals are in dense
+// (declaration) order, as both producers give them, and by a scan
+// otherwise.
 func NewProfile(p *Permeability, signals []SignalProfile) *Profile {
-	pr := &Profile{
-		perm:    p,
-		signals: append([]SignalProfile(nil), signals...),
-		byID:    make(map[model.SignalID]int, len(signals)),
-	}
-	for i, sp := range pr.signals {
-		pr.byID[sp.Signal] = i
-	}
-	return pr
+	return &Profile{perm: p, signals: signals}
 }
 
 // Permeability returns the matrix the profile was built from.
@@ -115,11 +106,27 @@ func (pr *Profile) System() *model.System { return pr.perm.sys }
 
 // Signal returns the profile of one signal.
 func (pr *Profile) Signal(s model.SignalID) (SignalProfile, error) {
-	i, ok := pr.byID[s]
-	if !ok {
-		return SignalProfile{}, fmt.Errorf("core: unknown signal %q", s)
+	if i, ok := pr.perm.sys.SignalIndex(s); ok && i < len(pr.signals) && pr.signals[i].Signal == s {
+		return pr.signals[i], nil
 	}
-	return pr.signals[i], nil
+	for _, sp := range pr.signals {
+		if sp.Signal == s {
+			return sp, nil
+		}
+	}
+	return SignalProfile{}, fmt.Errorf("core: unknown signal %q", s)
+}
+
+// ImpactOn returns sp's impact on the system output o, I(sp.Signal → o),
+// read from sp.Impacts; it is 0 when o is not a system output of the
+// profiled system.
+func (pr *Profile) ImpactOn(sp SignalProfile, o model.SignalID) float64 {
+	for i, out := range pr.perm.sys.SystemOutputs() {
+		if out == o && i < len(sp.Impacts) {
+			return sp.Impacts[i]
+		}
+	}
+	return 0
 }
 
 // Signals returns all signal profiles in declaration order.

@@ -147,6 +147,12 @@ func BuildBacktrackTreeN(sys *model.System, to model.SignalID, maxNodes int) (*T
 	return &Tree{Kind: KindBacktrackTree, Root: root}, nil
 }
 
+// errNodeCap is the error of a tree (or of BuildProfile's walk) that
+// outgrows a cap of max nodes.
+func errNodeCap(max int) error {
+	return fmt.Errorf("exceeds %d nodes (pathological path fan-out; raise the cap or use internal/analytic)", max)
+}
+
 // expansion carries the shared node budget through the recursive build.
 type expansion struct {
 	sys    *model.System
@@ -157,7 +163,7 @@ type expansion struct {
 
 func (x *expansion) spend() error {
 	if x.budget <= 0 {
-		return fmt.Errorf("exceeds %d nodes (pathological path fan-out; raise the cap or use internal/analytic)", x.max)
+		return errNodeCap(x.max)
 	}
 	x.budget--
 	return nil

@@ -257,7 +257,7 @@ func Table5(pr *core.Profile, out model.SignalID) string {
 			fmt.Fprintf(&b, "%-12s %10.3f %14s\n", sp.Signal, sp.Exposure, "-")
 			continue
 		}
-		fmt.Fprintf(&b, "%-12s %10.3f %14.3f\n", sp.Signal, sp.Exposure, sp.ImpactOn[out])
+		fmt.Fprintf(&b, "%-12s %10.3f %14.3f\n", sp.Signal, sp.Exposure, pr.ImpactOn(sp, out))
 	}
 	return b.String()
 }

@@ -30,8 +30,8 @@ func RankCriticality(m *core.Permeability) ([]CriticalityReport, error) {
 		}
 		out = append(out, CriticalityReport{
 			Signal:      sp.Signal,
-			ImpactValve: sp.ImpactOn[SigValve],
-			ImpactAlarm: sp.ImpactOn[SigAlarm],
+			ImpactValve: pr.ImpactOn(sp, SigValve),
+			ImpactAlarm: pr.ImpactOn(sp, SigAlarm),
 			Criticality: sp.Criticality,
 		})
 	}
